@@ -1,27 +1,29 @@
-//! `amulet drive` — the driver end of the multi-process campaign fabric.
+//! `amulet drive` — the driver end of the multi-process campaign fabric,
+//! and the one slot ladder every link-based worker runs.
 //!
 //! `drive --procs N` runs one campaign sharded over `N` spawned
 //! `amulet worker` processes instead of in-process threads, and
 //! `drive --connect host:port,...` runs the same campaign over TCP links to
-//! remote `amulet worker --listen` processes. The scheduling and reduction
-//! machinery is *the same* as the in-process pool's — [`CursorSource`]
-//! hands out batches, [`reduce_fragments`] merges them — only the transport
-//! differs: assignments and results travel as `amulet_core::proto` JSON
-//! lines over pipes or sockets. Consequently `drive --procs 1`,
-//! `drive --procs 4`, `drive --connect ...` and the in-process `campaign`
-//! run (same `--batch`) produce the same [`CampaignReport::fingerprint`] —
-//! asserted by `tests/multiproc_determinism.rs`, `tests/fleet_faults.rs`
-//! and CI.
+//! remote `amulet worker --listen` processes. The driver is a [`Service`]
+//! holding one campaign: its slots lease batches from the service exactly
+//! as `amulet serve`'s slots do, and the service reduces the fragments
+//! with the in-process pool's reducer — only the transport differs:
+//! assignments and results travel as `amulet_core::proto` JSON lines over
+//! pipes or sockets. Consequently `drive --procs 1`, `drive --procs 4`,
+//! `drive --connect ...` and the in-process `campaign` run (same `--batch`)
+//! produce the same [`CampaignReport::fingerprint`] — asserted by
+//! `tests/multiproc_determinism.rs`, `tests/fleet_faults.rs` and CI.
 //!
-//! The driver loop ([`run_driver`]) is generic over a [`WorkerLink`]
-//! transport and a per-slot `connect` factory: OS-process links
+//! A slot (`run_slot`) is one thread leasing batches over a
+//! [`WorkerLink`] from a per-slot `connect` factory: OS-process links
 //! ([`ProcLink`]) and TCP links (`crate::net::TcpLink`) are two
 //! implementations, and tests drive the whole fabric through in-memory
-//! channels with fault injection (`crate::fault`).
+//! channels with fault injection (`crate::fault`). `amulet serve`'s
+//! `--connect` slots run the same function with [`DriveConfig::default`].
 //!
 //! # Robustness model
 //!
-//! Cross-host links fail in ways pipes never did, so every slot runs a
+//! Cross-host links fail in ways pipes never did, so every slot runs one
 //! failure ladder that keeps the campaign's result bit-identical:
 //!
 //! - **Heartbeats** — before each batch the slot sends [`Msg::Ping`] and
@@ -37,34 +39,42 @@
 //!   backoff with deterministic jitter (seeded from
 //!   [`DriveConfig::seed`] and the slot id); wall-clock only, never part
 //!   of the fingerprint.
+//! - **Per-batch retries** — a batch is retried [`DriveConfig::retries`]
+//!   times before the slot gives it back to the service as an orphan,
+//!   which the next lease of any slot adopts.
 //! - **Quarantine** — a slot whose batches keep exhausting their retry
-//!   budget ([`DriveConfig::quarantine_after`] consecutive times) retires
+//!   budget ([`DriveConfig::quarantine_after`] consecutive times) detaches
 //!   and stops being offered work.
-//! - **Graceful degradation** — a retiring slot returns its batch to a
-//!   shared orphan pool that surviving slots drain, so the campaign
-//!   completes (same fingerprint) as long as one worker survives. Only
-//!   when runnable work remains after *every* slot has exited does the
-//!   campaign fail.
+//! - **Graceful degradation** — the campaign completes (same fingerprint)
+//!   as long as one slot survives. When the last slot detaches with work
+//!   left, or every slot's worker rejected the config at the hello
+//!   handshake, the service fails the campaign (its dead-fleet rule).
 //!
-//! See `docs/DISTRIBUTED.md` for the operator-level picture.
+//! Slots never send `cancel`: the service never leases a batch past the
+//! find-first hit (workers still honour it for external drivers). See
+//! `docs/DISTRIBUTED.md` for the operator-level picture.
 
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{FragmentReport, Msg, PROTO_VERSION};
 use amulet_core::{
-    reduce_fragments, verify_fragment_coverage, BatchSink, BatchSource, BatchSpec, CampaignConfig,
-    CampaignReport, CollectSink, CursorSource,
+    BatchSpec, CampaignConfig, CampaignReport, LeaseWait, Service, ServiceEvent, SubmitOutcome,
 };
 use amulet_util::{JsonObj, Xoshiro256};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// How long an idle slot waits for a lease before housekeeping (closing
+/// sessions of finished campaigns, shutdown checks).
+pub(crate) const LEASE_POLL: Duration = Duration::from_millis(250);
 
 /// A bidirectional, line-delimited message channel to one worker.
 ///
 /// Implementations must deliver messages in order and flush eagerly; an
-/// `Err` from either direction marks the link dead (the driver tears it
+/// `Err` from either direction marks the link dead (the slot tears it
 /// down, reconnects, and re-runs the in-flight batch on the fresh session).
 pub trait WorkerLink {
     /// Sends one message.
@@ -86,7 +96,8 @@ pub trait WorkerLink {
     }
 }
 
-/// Driver-side knobs of a multi-process run.
+/// Slot-ladder knobs: `drive`'s command line, and the defaults `serve`'s
+/// `--connect` slots run with.
 #[derive(Debug, Clone, Copy)]
 pub struct DriveConfig {
     /// Worker links (slots) to drive concurrently.
@@ -95,7 +106,7 @@ pub struct DriveConfig {
     /// exactly as for the in-process pool.
     pub batch_programs: usize,
     /// Reconnect-and-retry attempts per batch before the batch is
-    /// orphaned (returned to the pool for another slot).
+    /// orphaned (returned to the service for another slot).
     pub retries: usize,
     /// Deadline for the hello handshake and for each ping → pong
     /// heartbeat; a peer that cannot answer within this window is treated
@@ -110,7 +121,7 @@ pub struct DriveConfig {
     /// Upper bound on the reconnect delay.
     pub backoff_max: Duration,
     /// Consecutive retry-budget exhaustions before a slot is quarantined
-    /// (retired from the fleet).
+    /// (detached from the fleet).
     pub quarantine_after: usize,
     /// Seed for the backoff jitter (wall-clock only — never observable in
     /// the campaign fingerprint).
@@ -133,58 +144,51 @@ impl Default for DriveConfig {
     }
 }
 
-/// Work-accounting shared by every slot: batches orphaned by dying slots,
-/// the number currently being executed somewhere, and the first
-/// campaign-fatal error (a configuration mismatch, not a transport
-/// failure).
-#[derive(Default)]
-struct FleetState {
-    orphans: Vec<BatchSpec>,
-    in_flight: usize,
-    fatal: Option<String>,
-}
-
-struct Fleet {
-    state: Mutex<FleetState>,
-    /// Signalled whenever `in_flight` drops, an orphan arrives, or a
-    /// fatal error lands — the conditions idle slots wait on.
-    wake: Condvar,
-}
-
-/// The driver's structured JSONL event log (connects, link failures,
-/// backoff, orphaned batches, quarantines) — the flight recorder CI
-/// uploads as an artifact. Timestamps are seconds since driver start;
-/// every row carries a dense monotonic `seq` so consumers can detect
+/// The one structured JSONL event writer: `drive --events FILE` (the
+/// fleet flight recorder CI uploads) and the `serve` daemon's stderr.
+/// Every row is `event`, a dense monotonic `seq`, `t_s` (seconds since the
+/// log opened), then the event's own fields — so consumers can detect
 /// truncation and order rows even when `t_s` values collide.
-struct FleetEvents {
+pub(crate) struct EventLog {
     // The counter lives under the same lock as the writer so seq order
-    // and file order can never disagree across racing slot threads.
+    // and output order can never disagree across racing threads.
     out: Option<Mutex<(u64, Box<dyn Write + Send>)>>,
     start: Instant,
 }
 
-impl FleetEvents {
-    fn new(out: Option<Box<dyn Write + Send>>) -> Self {
-        FleetEvents {
+impl EventLog {
+    /// A log writing to `out`, or a no-op log.
+    pub(crate) fn new(out: Option<Box<dyn Write + Send>>) -> Self {
+        EventLog {
             out: out.map(|w| Mutex::new((0, w))),
             start: Instant::now(),
         }
     }
 
-    fn emit(&self, slot: usize, event: &str, detail: impl FnOnce(JsonObj) -> JsonObj) {
+    /// The process's stderr log — one `seq` across every session and slot
+    /// thread of a `serve` daemon.
+    pub(crate) fn stderr() -> &'static EventLog {
+        static LOG: OnceLock<EventLog> = OnceLock::new();
+        LOG.get_or_init(|| EventLog::new(Some(Box::new(std::io::stderr()))))
+    }
+
+    /// Writes one row (best-effort: logging never takes a campaign down).
+    pub(crate) fn emit(&self, event: &str, fields: impl FnOnce(JsonObj) -> JsonObj) {
         let Some(out) = &self.out else { return };
         let mut guard = out.lock().unwrap();
         let (seq, w) = &mut *guard;
-        let line = detail(
+        let mut line = fields(
             JsonObj::new()
                 .str("event", event)
                 .int("seq", *seq)
-                .int("slot", slot as u64)
                 .num("t_s", self.start.elapsed().as_secs_f64()),
         )
         .finish();
+        line.push('\n');
         *seq += 1;
-        let _ = writeln!(w, "{line}");
+        // One write per row, so rows never interleave with other stderr
+        // writers mid-line.
+        let _ = w.write_all(line.as_bytes());
         let _ = w.flush();
     }
 }
@@ -192,32 +196,37 @@ impl FleetEvents {
 /// How a batch attempt (or handshake) failed.
 enum SlotError {
     /// Version/config mismatch: a deployment bug no retry can fix — the
-    /// whole campaign aborts.
+    /// slot rejects the campaign.
     Fatal(String),
     /// Transport-level failure (EOF, timeout, truncation, refused
     /// connection): retry/backoff/quarantine territory.
     Transient(String),
 }
 
-/// Drives one campaign over `drive.procs` worker links and reduces the
-/// streamed fragments deterministically.
+/// A fragment tee: the live writer, or the write error that ended it (and
+/// failed the campaign).
+type Tee = Mutex<Result<Box<dyn Write + Send>, String>>;
+
+/// Drives one campaign over `drive.procs` worker links and returns the
+/// deterministically reduced report.
 ///
-/// `connect` is called with the slot index — once when the slot starts,
-/// plus once per reconnect after a link failure — so a TCP fleet can map
-/// slots to addresses and tests can inject per-connection faults. Each
-/// fresh link must open with a `hello` whose version and config echo match
-/// `cfg` ([`PROTO_VERSION`]) within [`DriveConfig::liveness`]; a hello
-/// *mismatch* is a configuration error and aborts the campaign, while
-/// every transport-shaped handshake failure is transient and consumes
-/// retry budget. `tee`, when given, receives every accepted fragment as
-/// one JSONL line; `events`, when given, receives the fleet event log
-/// (JSONL: `connect`, `link_failure`, `backoff`, `orphan`, `adopt`,
+/// The driver is a [`Service`] holding this one campaign
+/// ([`Service::submit_config`]); `drive.procs` slot-ladder threads lease
+/// from it, and the service reduces, after checking that exactly one
+/// fragment arrived per planned batch (or per batch in the find-first
+/// prefix), however chaotic the failure schedule was.
+///
+/// `connect` is called with the slot index — once when the slot first
+/// leases, plus once per reconnect after a link failure — so a TCP fleet
+/// can map slots to addresses and tests can inject per-connection faults.
+/// Each fresh link must open with a `hello` whose version and config echo
+/// match `cfg` ([`PROTO_VERSION`]) within [`DriveConfig::liveness`]; a
+/// hello *mismatch* is a configuration error no retry can fix, while every
+/// transport-shaped handshake failure is transient and consumes retry
+/// budget. `tee`, when given, receives every accepted fragment as one
+/// JSONL line; `events`, when given, receives the fleet event log (JSONL:
+/// `connect`, `link_failure`, `backoff`, `orphan`, `adopt`, `reject`,
 /// `quarantine`, `drained` events with slot numbers and timestamps).
-///
-/// The reduced fragment set is checked by
-/// [`verify_fragment_coverage`] before reduction — exactly one fragment
-/// per planned batch (or per batch in the find-first prefix), however
-/// chaotic the failure schedule was.
 pub fn run_driver<L, C>(
     cfg: &CampaignConfig,
     drive: &DriveConfig,
@@ -229,166 +238,125 @@ where
     L: WorkerLink,
     C: Fn(usize) -> Result<L, String> + Sync,
 {
-    let source = CursorSource::new(cfg, drive.batch_programs);
-    let total_batches = source.len();
-    let sink = CollectSink::new();
-    let tee = Mutex::new(tee);
-    let events = FleetEvents::new(events);
-    let fleet = Fleet {
-        state: Mutex::new(FleetState::default()),
-        wake: Condvar::new(),
-    };
-    let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for slot in 0..drive.procs.max(1) {
-            let (connect, source, sink, tee, fleet, events) =
-                (&connect, &source, &sink, &tee, &fleet, &events);
-            scope.spawn(move || {
-                run_slot(slot, cfg, drive, connect, source, sink, tee, fleet, events)
-            });
+    let service = Service::new();
+    let events = EventLog::new(events);
+    let tee: Option<Tee> = tee.map(|t| Mutex::new(Ok(t)));
+    let slots: Vec<usize> = (0..drive.procs.max(1))
+        .map(|_| service.attach_slot())
+        .collect();
+    let finished = service.subscribe();
+    let campaign = match service.submit_config(cfg.clone(), drive.batch_programs)? {
+        SubmitOutcome::Accepted { campaign, .. } => campaign,
+        other => {
+            return Err(format!(
+                "the driver's service refused the campaign: {other:?}"
+            ))
         }
+    };
+    std::thread::scope(|scope| {
+        for slot in slots {
+            let (service, connect, tee, events) = (&service, &connect, tee.as_ref(), &events);
+            scope.spawn(move || run_slot(service, slot, drive, connect, tee, events));
+        }
+        // The campaign ends exactly once: reduced, or failed by the
+        // service's dead-fleet rule.
+        while let Ok(event) = finished.recv() {
+            if event == (ServiceEvent::Finished { campaign }) {
+                break;
+            }
+        }
+        service.shutdown();
     });
-
-    let st = fleet.state.into_inner().unwrap();
-    if let Some(e) = st.fatal {
+    if let Some(Err(e)) = tee.map(|t| t.into_inner().unwrap()) {
         return Err(e);
     }
-    // Every slot has exited. Work can only be left when all of them
-    // quarantined/died with batches still pending — graceful degradation
-    // has a floor of one surviving worker.
-    let hit = source.earliest_hit();
-    let runnable = |b: &&BatchSpec| match (cfg.stop_on_first, hit) {
-        (true, Some(h)) => b.index <= h,
-        _ => true,
-    };
-    let stranded = st.orphans.iter().filter(runnable).count()
-        + if source.next_batch().is_some() { 1 } else { 0 };
-    if stranded > 0 {
-        return Err(format!(
-            "campaign incomplete: every worker slot failed with {stranded}+ batch(es) \
-             still runnable (see the fleet event log)"
-        ));
-    }
-    let wall = start.elapsed();
-    let fragments = sink.into_fragments();
-    verify_fragment_coverage(cfg, &fragments, hit, total_batches)?;
-    Ok(reduce_fragments(cfg.clone(), fragments, hit, wall))
+    service
+        .take_report(campaign)
+        .expect("a finished campaign holds its outcome")
 }
 
-/// Pops the lowest-index orphan that still needs to run. Orphans past the
-/// find-first hit are discarded — the reducer drops that suffix anyway.
-fn next_runnable_orphan(
-    orphans: &mut Vec<BatchSpec>,
-    cfg: &CampaignConfig,
-    source: &CursorSource,
-) -> Option<BatchSpec> {
-    loop {
-        let pos = orphans
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| b.index)
-            .map(|(i, _)| i)?;
-        let spec = orphans.swap_remove(pos);
-        if cfg.stop_on_first && source.earliest_hit().is_some_and(|hit| spec.index > hit) {
-            continue;
-        }
-        return Some(spec);
-    }
-}
-
-/// One slot's scheduling loop: adopt an orphan or pull a fresh batch, run
-/// it through the retry/backoff ladder, and either submit its fragment or
-/// orphan it for the survivors. Exits when the source and orphan pool are
-/// both drained (and nothing is in flight that could still be orphaned),
-/// on a fatal error, or on quarantine.
-#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the lines
-fn run_slot<L, C>(
+/// One slot: lease a batch from `service`, run it through the ladder (see
+/// the [module docs](self)), and complete it, orphan it, or reject its
+/// campaign. A worker serves one config, so a lease from a different
+/// campaign than the live session's opens a fresh session. Exits on
+/// service shutdown (or drain checkpoint) and on quarantine, detaching
+/// the slot either way.
+pub(crate) fn run_slot<L: WorkerLink>(
+    service: &Service,
     slot: usize,
-    cfg: &CampaignConfig,
     drive: &DriveConfig,
-    connect: &C,
-    source: &CursorSource,
-    sink: &CollectSink,
-    tee: &Mutex<Option<Box<dyn Write + Send>>>,
-    fleet: &Fleet,
-    events: &FleetEvents,
-) where
-    L: WorkerLink,
-    C: Fn(usize) -> Result<L, String> + Sync,
-{
-    let mut rng =
-        Xoshiro256::seed_from_u64(drive.seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut link: Option<L> = None;
-    // The lowest cancel floor already sent on *this* link; a replacement
-    // worker starts with no floor, so the slot re-sends it.
-    let mut sent_floor = usize::MAX;
+    connect: &impl Fn(usize) -> Result<L, String>,
+    tee: Option<&Tee>,
+    events: &EventLog,
+) {
+    let id = slot as u64;
+    let mut rng = Xoshiro256::seed_from_u64(drive.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // The live session and the campaign it was opened for.
+    let mut session: Option<(u64, L)> = None;
+    // Campaigns whose config this slot's worker rejected.
+    let mut rejected: HashSet<u64> = HashSet::new();
     // Consecutive batches that exhausted their retry budget on this slot.
     let mut strikes = 0usize;
     // Heartbeat tokens, unique per slot so a cross-wired reply is caught.
-    let mut token = (slot as u64) << 32;
+    let mut token = id << 32;
+    // Best-effort: a worker that misses the shutdown exits on EOF or its
+    // idle timeout.
+    let close = |session: &mut Option<(u64, L)>| {
+        if let Some((_, mut live)) = session.take() {
+            let _ = live.send(&Msg::Shutdown);
+        }
+    };
 
     loop {
-        // ---- acquire work (orphans first — they are the oldest batches) --
-        let spec = {
-            let mut st = fleet.state.lock().unwrap();
-            loop {
-                if st.fatal.is_some() {
-                    return;
+        let lease = match service.wait_lease_where(LEASE_POLL, |c| !rejected.contains(&c)) {
+            LeaseWait::Shutdown => break,
+            LeaseWait::Idle => {
+                rejected.retain(|&c| service.is_active(c));
+                if session
+                    .as_ref()
+                    .is_some_and(|(c, _)| !service.is_active(*c))
+                {
+                    close(&mut session);
                 }
-                if let Some(orphan) = next_runnable_orphan(&mut st.orphans, cfg, source) {
-                    st.in_flight += 1;
-                    events.emit(slot, "adopt", |o| o.int("batch", orphan.index as u64));
-                    break Some(orphan);
-                }
-                if let Some(fresh) = source.next_batch() {
-                    st.in_flight += 1;
-                    break Some(fresh);
-                }
-                if st.in_flight == 0 {
-                    break None;
-                }
-                // A batch in flight elsewhere could still be orphaned —
-                // wait instead of exiting with work potentially pending.
-                st = fleet.wake.wait(st).unwrap();
+                continue;
             }
+            LeaseWait::Lease(lease) => lease,
         };
-        let Some(spec) = spec else { break };
+        let batch = lease.spec.index as u64;
+        if lease.adopted {
+            events.emit("adopt", |o| o.int("slot", id).int("batch", batch));
+        }
+        if session.as_ref().is_some_and(|(c, _)| *c != lease.campaign) {
+            close(&mut session);
+        }
 
         // ---- the retry/backoff ladder for this batch ---------------------
         let mut attempts = 0usize;
         let outcome = loop {
             token += 1;
-            let attempt = match link.as_mut() {
-                Some(live) => call_worker(live, &spec, source, &mut sent_floor, drive, token)
-                    .map_err(SlotError::Transient),
-                None => connect_checked(cfg, slot, connect, drive.liveness).and_then(|fresh| {
-                    sent_floor = usize::MAX;
-                    events.emit(slot, "connect", |o| o);
-                    call_worker(
-                        link.insert(fresh),
-                        &spec,
-                        source,
-                        &mut sent_floor,
-                        drive,
-                        token,
-                    )
-                    .map_err(SlotError::Transient)
-                }),
+            let attempt = match session.as_mut() {
+                Some((_, live)) => {
+                    call_worker(live, &lease.spec, drive, token).map_err(SlotError::Transient)
+                }
+                None => {
+                    connect_checked(&lease.cfg, slot, connect, drive.liveness).and_then(|fresh| {
+                        events.emit("connect", |o| o.int("slot", id));
+                        let (_, live) = session.insert((lease.campaign, fresh));
+                        call_worker(live, &lease.spec, drive, token).map_err(SlotError::Transient)
+                    })
+                }
             };
             match attempt {
-                Ok(reply) => {
-                    strikes = 0;
-                    break Ok(reply);
-                }
+                Ok(reply) => break Ok(reply),
                 Err(SlotError::Fatal(e)) => break Err(SlotError::Fatal(e)),
                 Err(SlotError::Transient(e)) => {
                     // Tear the link down before any retry: a batch is only
                     // ever re-sent on a fresh session, so a zombie's late
                     // fragment can never be read.
-                    link = None;
-                    events.emit(slot, "link_failure", |o| {
-                        o.int("batch", spec.index as u64)
+                    session = None;
+                    events.emit("link_failure", |o| {
+                        o.int("slot", id)
+                            .int("batch", batch)
                             .int("attempt", attempts as u64)
                             .str("error", &e)
                     });
@@ -397,74 +365,59 @@ fn run_slot<L, C>(
                     }
                     attempts += 1;
                     let delay = backoff_delay(&mut rng, drive, attempts);
-                    events.emit(slot, "backoff", |o| o.num("delay_s", delay.as_secs_f64()));
+                    events.emit("backoff", |o| {
+                        o.int("slot", id).num("delay_s", delay.as_secs_f64())
+                    });
                     std::thread::sleep(delay);
                 }
             }
         };
 
-        // ---- account for the outcome -------------------------------------
+        // ---- hand the outcome back to the service ------------------------
         match outcome {
             Ok(reply) => {
-                if !reply.violations.is_empty() {
-                    source.record_hit(reply.index);
+                strikes = 0;
+                if let Some(tee) = tee {
+                    let mut tee = tee.lock().unwrap();
+                    if let Ok(out) = tee.as_mut() {
+                        if let Err(e) = writeln!(out, "{}", Msg::Fragment(reply.clone()).to_line())
+                        {
+                            *tee = Err(format!("fragment tee write failed: {e}"));
+                            service.cancel(lease.campaign);
+                        }
+                    }
                 }
-                let tee_err = tee.lock().unwrap().as_mut().and_then(|t| {
-                    writeln!(t, "{}", Msg::Fragment(reply.clone()).to_line())
-                        .err()
-                        .map(|e| format!("fragment tee write failed: {e}"))
-                });
-                let mut st = fleet.state.lock().unwrap();
-                st.in_flight -= 1;
-                if let Some(e) = tee_err {
-                    st.fatal.get_or_insert(e);
-                    fleet.wake.notify_all();
-                    return;
-                }
-                sink.submit(reply.into_fragment());
-                fleet.wake.notify_all();
+                service.complete(*lease, reply.into_fragment());
             }
             Err(SlotError::Fatal(e)) => {
-                let mut st = fleet.state.lock().unwrap();
-                st.in_flight -= 1;
-                st.fatal.get_or_insert(e);
-                fleet.wake.notify_all();
-                return;
+                events.emit("reject", |o| {
+                    o.int("slot", id)
+                        .int("campaign", lease.campaign)
+                        .str("error", &e)
+                });
+                rejected.insert(lease.campaign);
+                service.reject(*lease, slot, e);
             }
             Err(SlotError::Transient(e)) => {
                 strikes += 1;
-                let quarantined = strikes >= drive.quarantine_after;
-                eprintln!(
-                    "drive[{slot}]: batch {} failed after {attempts} retries ({e}){}",
-                    spec.index,
-                    if quarantined {
-                        "; quarantining slot"
-                    } else {
-                        "; orphaning batch"
-                    }
-                );
-                events.emit(slot, "orphan", |o| {
-                    o.int("batch", spec.index as u64).str("error", &e)
+                events.emit("orphan", |o| {
+                    o.int("slot", id).int("batch", batch).str("error", &e)
                 });
-                let mut st = fleet.state.lock().unwrap();
-                st.orphans.push(spec);
-                st.in_flight -= 1;
-                fleet.wake.notify_all();
-                drop(st);
-                if quarantined {
-                    events.emit(slot, "quarantine", |o| o.int("strikes", strikes as u64));
+                service.release(*lease);
+                if strikes >= drive.quarantine_after {
+                    events.emit("quarantine", |o| {
+                        o.int("slot", id).int("strikes", strikes as u64)
+                    });
+                    service.detach_slot(slot);
                     return;
                 }
             }
         }
     }
 
-    if let Some(live) = link.as_mut() {
-        // Best-effort: a worker that misses the shutdown exits on EOF or
-        // its idle timeout.
-        let _ = live.send(&Msg::Shutdown);
-    }
-    events.emit(slot, "drained", |o| o);
+    close(&mut session);
+    events.emit("drained", |o| o.int("slot", id));
+    service.detach_slot(slot);
 }
 
 /// Connects a link and consumes its `hello` handshake under a deadline.
@@ -496,13 +449,12 @@ fn connect_checked<L: WorkerLink>(
     Ok(link)
 }
 
-/// One batch over a live link: heartbeat probe, forward a lowered cancel
-/// floor, assign the batch, await its fragment under the batch deadline.
+/// One batch over a live link: heartbeat probe, assign the batch, await
+/// its fragment under the batch deadline. A skipped fragment is an error —
+/// slots never send cancel floors, so a skip means a confused peer.
 fn call_worker<L: WorkerLink>(
     link: &mut L,
     spec: &BatchSpec,
-    source: &CursorSource,
-    sent_floor: &mut usize,
     drive: &DriveConfig,
     token: u64,
 ) -> Result<FragmentReport, String> {
@@ -519,18 +471,12 @@ fn call_worker<L: WorkerLink>(
         Some(other) => return Err(format!("expected pong, got {:?}", other.tag())),
         None => return Err(format!("heartbeat timed out after {:?}", drive.liveness)),
     }
-    if let Some(hit) = source.earliest_hit() {
-        if hit < *sent_floor {
-            link.send(&Msg::Cancel { earliest: hit })?;
-            *sent_floor = hit;
-        }
-    }
     link.send(&Msg::Batch(*spec))?;
     match link.recv_timeout(drive.batch_timeout)? {
-        Some(Msg::Fragment(reply)) if reply.index == spec.index => Ok(reply),
+        Some(Msg::Fragment(reply)) if reply.index == spec.index && !reply.skipped => Ok(reply),
         Some(Msg::Fragment(reply)) => Err(format!(
-            "fragment answers batch {}, expected {}",
-            reply.index, spec.index
+            "unusable fragment for batch {} (index {}, skipped {})",
+            spec.index, reply.index, reply.skipped
         )),
         Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
         None => Err(format!(
@@ -543,7 +489,7 @@ fn call_worker<L: WorkerLink>(
 /// Exponential backoff with deterministic jitter: `base × 2^attempt`
 /// capped at `max`, then jittered uniformly into `[cap/2, cap]` so a
 /// fleet's reconnects decorrelate without losing reproducibility.
-fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: usize) -> Duration {
+pub(crate) fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: usize) -> Duration {
     let base = drive.backoff_base.as_nanos().min(u128::from(u64::MAX)) as u64;
     let max = drive.backoff_max.as_nanos().min(u128::from(u64::MAX)) as u64;
     let cap = base
@@ -740,12 +686,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         }
     };
     print_report(&report);
-    sink.line(&report_json(
-        &report,
-        "drive",
-        drive.procs,
-        Some(batch_programs),
-    ))
+    sink.line(&report_json(&report, "drive", drive.procs, batch_programs))
 }
 
 /// Converts a `--*-s` seconds flag into a `Duration`, rejecting values a

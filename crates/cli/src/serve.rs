@@ -10,8 +10,14 @@
 //! - **local workers** ([`ServiceHost`]): in-process threads executing
 //!   leased batches with per-campaign persistent runtimes;
 //! - **TCP slots**: one thread per `--connect` address, forwarding leases
-//!   to remote `amulet worker --listen` processes over the PR 6 link
-//!   layer, with the same strike/backoff/quarantine ladder as `drive`.
+//!   to remote `amulet worker --listen` processes — `drive`'s slot ladder
+//!   (`crate::drive::run_slot`) with [`DriveConfig::default`]: heartbeats,
+//!   deadlines, seeded backoff, per-batch retries, orphaning and
+//!   quarantine.
+//!
+//! Every slot attaches to the service, so a campaign no slot can run
+//! (every worker refused, every slot quarantined) fails with an error
+//! `result` instead of hanging — the service's dead-fleet rule.
 //!
 //! With `--state-dir DIR`, the daemon is crash-safe: a startup recovery
 //! pass (`StateDir::recover`) reloads the persisted result cache and
@@ -27,8 +33,9 @@
 //! idle-session reaping, a strike ladder for malformed traffic — the PR 6
 //! shape); and SIGTERM runs a graceful drain (stop admitting, announce
 //! `draining`, checkpoint or finish active campaigns, exit 0). Every
-//! rejection, eviction and drain is logged as a structured stderr event
-//! with a dense monotonic `seq`, like the fleet event log.
+//! daemon event — sessions, rejections, evictions, drains and slot
+//! failures — is a structured stderr row written by the fleet event log's
+//! writer, with one dense monotonic `seq`.
 //!
 //! Scheduling fairness, the result cache and corpus persistence live in
 //! `amulet_core::service`; this module is transport and process glue —
@@ -36,12 +43,13 @@
 //! can drive [`serve_client`] over in-memory pipes and prove the same
 //! properties the real-socket tests prove end-to-end.
 
+use crate::drive::{backoff_delay, run_slot, EventLog, LEASE_POLL};
 use crate::net::{parse_connect_list, TcpLink};
-use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
+use crate::{Args, DriveConfig, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet_core::{
-    run_batch, Admission, BatchSpec, Corpus, Fragment, LeaseWait, Service, ServiceEvent,
-    ShardConfig, StateDir, SubmitOutcome, UnitRuntime,
+    run_batch, Admission, Corpus, LeaseWait, Service, ServiceEvent, ShardConfig, StateDir,
+    SubmitOutcome, UnitRuntime,
 };
 use amulet_util::{JsonObj, Xoshiro256};
 use std::collections::{HashMap, HashSet};
@@ -49,23 +57,10 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a worker loop waits for a lease before housekeeping (runtime
-/// garbage collection, shutdown checks).
-const LEASE_POLL: Duration = Duration::from_millis(250);
-/// Handshake/heartbeat deadline for TCP slots (as `drive`'s default).
-const LIVENESS: Duration = Duration::from_secs(10);
-/// Per-batch fragment deadline for TCP slots (as `drive`'s default).
-const BATCH_TIMEOUT: Duration = Duration::from_secs(120);
-/// First reconnect delay for a failing TCP slot; doubles per strike.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-/// Upper bound on the reconnect delay.
-const BACKOFF_MAX: Duration = Duration::from_secs(2);
-/// Consecutive failures before a TCP slot retires (quarantine).
-const QUARANTINE_AFTER: usize = 3;
 /// How often the drained accept loop polls for the SIGTERM flag and new
 /// connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -74,7 +69,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// against slowloris peers (bounded line assembly: a byte-at-a-time
 /// writer is accounted against `max_line_bytes` as the bytes arrive, not
 /// when a newline finally shows up), half-open peers (idle reaping), and
-/// garbage floods (the strike ladder, PR 6's `QUARANTINE_AFTER` shape).
+/// garbage floods (the strike ladder, shaped like a slot's quarantine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionLimits {
     /// Longest accepted protocol line, in bytes. An oversized frame is
@@ -92,7 +87,7 @@ impl Default for SessionLimits {
         SessionLimits {
             max_line_bytes: 64 * 1024,
             idle_timeout: Duration::from_secs(300),
-            strike_limit: QUARANTINE_AFTER,
+            strike_limit: DriveConfig::default().quarantine_after,
         }
     }
 }
@@ -101,18 +96,6 @@ impl Default for SessionLimits {
 /// admission quota counts. `u64::MAX` is the service's anonymous id, so
 /// the counter can never collide with it in practice.
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Emits one structured overload event (`rejected`/`evicted`/`draining`)
-/// to stderr. The `seq` is dense and monotonic across all such events in
-/// this process — the PR 7 fleet-event convention — which the serialising
-/// lock guarantees even when session threads race.
-fn daemon_event(build: impl FnOnce(u64) -> String) {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static ORDER: Mutex<()> = Mutex::new(());
-    let guard = ORDER.lock().unwrap();
-    eprintln!("{}", build(SEQ.fetch_add(1, Ordering::Relaxed)));
-    drop(guard);
-}
 
 /// One unit from a session's bounded reader thread.
 enum Frame {
@@ -192,7 +175,7 @@ pub struct ServiceHost {
 
 impl ServiceHost {
     /// Starts `local_workers` in-process workers and one TCP slot per
-    /// `connect` address, all leasing from `service`.
+    /// `connect` address, all attached to and leasing from `service`.
     pub fn start(service: Arc<Service>, local_workers: usize, connect: &[String]) -> Self {
         let mut host = ServiceHost {
             service,
@@ -201,9 +184,13 @@ impl ServiceHost {
         host.add_local_workers(local_workers);
         for addr in connect {
             let service = host.service.clone();
+            let slot = service.attach_slot();
             let addr = addr.clone();
-            host.threads
-                .push(std::thread::spawn(move || tcp_slot(&service, &addr)));
+            host.threads.push(std::thread::spawn(move || {
+                let drive = DriveConfig::default();
+                let connect = |_slot| TcpLink::connect(&addr, drive.liveness);
+                run_slot(&service, slot, &drive, &connect, None, EventLog::stderr());
+            }));
         }
         host
     }
@@ -213,8 +200,9 @@ impl ServiceHost {
     pub fn add_local_workers(&mut self, n: usize) {
         for _ in 0..n {
             let service = self.service.clone();
+            let slot = service.attach_slot();
             self.threads
-                .push(std::thread::spawn(move || local_worker(&service)));
+                .push(std::thread::spawn(move || local_worker(&service, slot)));
         }
     }
 
@@ -232,14 +220,14 @@ impl ServiceHost {
     }
 }
 
-/// An in-process worker loop: lease, execute, complete. Runtimes are
+/// An in-process worker slot: lease, execute, complete. Runtimes are
 /// per-campaign (a [`UnitRuntime`] must never serve two configs) and are
 /// garbage-collected when their campaign leaves the active set.
-fn local_worker(service: &Service) {
+fn local_worker(service: &Service, slot: usize) {
     let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
     loop {
         match service.wait_lease(LEASE_POLL) {
-            LeaseWait::Shutdown => return,
+            LeaseWait::Shutdown => break,
             LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
             LeaseWait::Lease(lease) => {
                 let rt = runtimes.entry(lease.campaign).or_default();
@@ -248,157 +236,7 @@ fn local_worker(service: &Service) {
             }
         }
     }
-}
-
-/// Why a TCP connection attempt could not serve a lease.
-enum SlotError {
-    /// The worker answered the handshake but for a different campaign
-    /// (config mismatch) — it will never serve this campaign.
-    Incompatible(String),
-    /// Transport trouble — retry with backoff, quarantine eventually.
-    Transient(String),
-}
-
-/// Connects to `addr` and completes the hello handshake against the
-/// leased campaign's config.
-fn connect_for(addr: &str, cfg: &amulet_core::CampaignConfig) -> Result<TcpLink, SlotError> {
-    let mut link = TcpLink::connect(addr, LIVENESS).map_err(SlotError::Transient)?;
-    match link.recv_timeout(LIVENESS) {
-        Ok(Some(Msg::Hello(hello))) => hello.check(cfg).map_err(SlotError::Incompatible)?,
-        Ok(Some(other)) => {
-            return Err(SlotError::Transient(format!(
-                "expected hello, got {:?}",
-                other.tag()
-            )))
-        }
-        Ok(None) => {
-            return Err(SlotError::Transient(format!(
-                "handshake timed out after {LIVENESS:?}"
-            )))
-        }
-        Err(e) => return Err(SlotError::Transient(e)),
-    }
-    Ok(link)
-}
-
-/// One batch over a live worker session: heartbeat, assign, await the
-/// fragment. A skipped fragment is an error — the service never sends
-/// cancel floors to TCP workers, so a skip means a confused peer.
-fn tcp_call(link: &mut TcpLink, spec: &BatchSpec, token: u64) -> Result<Fragment, String> {
-    link.send(&Msg::Ping { token })?;
-    match link.recv_timeout(LIVENESS)? {
-        Some(Msg::Pong { token: t }) if t == token => {}
-        Some(other) => return Err(format!("expected pong, got {:?}", other.tag())),
-        None => return Err(format!("heartbeat timed out after {LIVENESS:?}")),
-    }
-    link.send(&Msg::Batch(*spec))?;
-    match link.recv_timeout(BATCH_TIMEOUT)? {
-        Some(Msg::Fragment(reply)) if reply.index == spec.index && !reply.skipped => {
-            Ok(reply.into_fragment())
-        }
-        Some(Msg::Fragment(reply)) => Err(format!(
-            "unusable fragment for batch {} (index {}, skipped {})",
-            spec.index, reply.index, reply.skipped
-        )),
-        Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
-        None => Err(format!(
-            "batch {} timed out after {BATCH_TIMEOUT:?}",
-            spec.index
-        )),
-    }
-}
-
-/// A TCP worker slot: forwards leases to one remote `amulet worker
-/// --listen` process. Sessions are per-campaign (a remote worker's
-/// persistent runtime must not mix campaigns); campaigns whose config the
-/// worker rejects are remembered and skipped; transport failures release
-/// the lease for other workers and climb a strike ladder to quarantine.
-fn tcp_slot(service: &Service, addr: &str) {
-    let mut incompatible: HashSet<u64> = HashSet::new();
-    let mut session: Option<(u64, TcpLink)> = None;
-    let mut strikes = 0usize;
-    let mut token = 0u64;
-    let teardown = |session: &mut Option<(u64, TcpLink)>| {
-        if let Some((_, mut link)) = session.take() {
-            let _ = link.send(&Msg::Shutdown);
-        }
-    };
-    loop {
-        let lease = match service.wait_lease_where(LEASE_POLL, |id| !incompatible.contains(&id)) {
-            LeaseWait::Shutdown => {
-                teardown(&mut session);
-                return;
-            }
-            LeaseWait::Idle => {
-                incompatible.retain(|id| service.is_active(*id));
-                if session
-                    .as_ref()
-                    .is_some_and(|(id, _)| !service.is_active(*id))
-                {
-                    teardown(&mut session);
-                }
-                continue;
-            }
-            LeaseWait::Lease(lease) => lease,
-        };
-        if session
-            .as_ref()
-            .is_some_and(|(id, _)| *id != lease.campaign)
-        {
-            teardown(&mut session);
-        }
-        if session.is_none() {
-            match connect_for(addr, &lease.cfg) {
-                Ok(link) => session = Some((lease.campaign, link)),
-                Err(SlotError::Incompatible(e)) => {
-                    eprintln!(
-                        "tcp worker {addr}: campaign {} incompatible: {e}",
-                        lease.campaign
-                    );
-                    incompatible.insert(lease.campaign);
-                    service.release(*lease);
-                    continue;
-                }
-                Err(SlotError::Transient(e)) => {
-                    service.release(*lease);
-                    strikes += 1;
-                    if strikes >= QUARANTINE_AFTER {
-                        eprintln!("tcp worker {addr}: quarantined after {strikes} failures ({e})");
-                        return;
-                    }
-                    std::thread::sleep(backoff(strikes));
-                    continue;
-                }
-            }
-        }
-        let (_, link) = session.as_mut().expect("session established above");
-        token = token.wrapping_add(1);
-        match tcp_call(link, &lease.spec, token) {
-            Ok(fragment) => {
-                strikes = 0;
-                service.complete(*lease, fragment);
-            }
-            Err(e) => {
-                // The batch was not completed — tear the session down (it
-                // may hold a half-finished exchange) and give the batch
-                // back for any worker to adopt.
-                session = None;
-                service.release(*lease);
-                strikes += 1;
-                if strikes >= QUARANTINE_AFTER {
-                    eprintln!("tcp worker {addr}: quarantined after {strikes} failures ({e})");
-                    return;
-                }
-                std::thread::sleep(backoff(strikes));
-            }
-        }
-    }
-}
-
-fn backoff(strikes: usize) -> Duration {
-    BACKOFF_BASE
-        .saturating_mul(1u32 << (strikes.min(16) as u32).saturating_sub(1))
-        .min(BACKOFF_MAX)
+    service.detach_slot(slot);
 }
 
 /// Counters from one client conversation.
@@ -524,14 +362,10 @@ where
                                 retry_after_ms,
                             }) => {
                                 stats.rejected += 1;
-                                daemon_event(|seq| {
-                                    JsonObj::new()
-                                        .str("event", "rejected")
-                                        .int("seq", seq)
-                                        .int("client", client)
+                                EventLog::stderr().emit("rejected", |o| {
+                                    o.int("client", client)
                                         .str("reason", &reason)
                                         .int("retry_after_ms", retry_after_ms)
-                                        .finish()
                                 });
                                 send(
                                     &mut out,
@@ -562,12 +396,16 @@ where
                         Ok(other) => {
                             stats.malformed += 1;
                             strikes += 1;
-                            eprintln!("client {client} sent unexpected {:?}", other.tag());
+                            EventLog::stderr().emit("malformed", |o| {
+                                o.int("client", client)
+                                    .str("error", &format!("unexpected {:?}", other.tag()))
+                            });
                         }
                         Err(e) => {
                             stats.malformed += 1;
                             strikes += 1;
-                            eprintln!("client {client} sent malformed line: {e}");
+                            EventLog::stderr()
+                                .emit("malformed", |o| o.int("client", client).str("error", &e));
                         }
                     }
                 }
@@ -575,7 +413,11 @@ where
                     last_frame = Instant::now();
                     stats.malformed += 1;
                     strikes += 1;
-                    eprintln!("client {client} sent oversized frame ({bytes} bytes, discarded)");
+                    EventLog::stderr().emit("malformed", |o| {
+                        o.int("client", client)
+                            .str("error", "oversized frame, discarded")
+                            .int("bytes", bytes as u64)
+                    });
                 }
                 Ok(Frame::Tick) => {}
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
@@ -588,14 +430,10 @@ where
                 stats.evicted = Some("idle");
             }
             if let Some(reason) = stats.evicted {
-                daemon_event(|seq| {
-                    JsonObj::new()
-                        .str("event", "evicted")
-                        .int("seq", seq)
-                        .int("client", client)
+                EventLog::stderr().emit("evicted", |o| {
+                    o.int("client", client)
                         .str("reason", reason)
                         .int("malformed", stats.malformed as u64)
-                        .finish()
                 });
                 return Ok(());
             }
@@ -719,16 +557,13 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    eprintln!(
-        "{}",
-        JsonObj::new()
-            .str("event", "serving")
-            .str("addr", &local.to_string())
+    let log = EventLog::stderr();
+    log.emit("serving", |o| {
+        o.str("addr", &local.to_string())
             .int("pid", u64::from(std::process::id()))
             .int("workers", workers as u64)
             .int("tcp_slots", connect.len() as u64)
-            .finish()
-    );
+    });
 
     let service = Arc::new(match state {
         Some(state) => {
@@ -736,17 +571,13 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
             // clear journals whose campaign already completed, and announce
             // what a resubmit could resume.
             let recovery = state.recover()?;
-            eprintln!(
-                "{}",
-                JsonObj::new()
-                    .str("event", "recovery")
-                    .str("state_dir", &state.path().display().to_string())
+            log.emit("recovery", |o| {
+                o.str("state_dir", &state.path().display().to_string())
                     .int("cached", recovery.cache.len() as u64)
                     .int("resumable", recovery.resumable as u64)
                     .int("cleared", recovery.cleared as u64)
                     .int("corrupt", recovery.corrupt as u64)
-                    .finish()
-            );
+            });
             Service::with_persistence(corpus, state, recovery)
         }
         None => Service::with_corpus(corpus),
@@ -767,13 +598,7 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
             // let sessions checkpoint (persistent) or finish (in-memory),
             // then exit 0 below.
             let active = service.drain();
-            daemon_event(|seq| {
-                JsonObj::new()
-                    .str("event", "draining")
-                    .int("seq", seq)
-                    .int("active", active)
-                    .finish()
-            });
+            log.emit("draining", |o| o.int("active", active));
             break;
         }
         let (stream, peer) = match listener.accept() {
@@ -795,29 +620,24 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
         let session = session_seq.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "{}",
-            JsonObj::new()
-                .str("event", "session_start")
-                .int("session", session)
-                .str("peer", &peer.to_string())
-                .finish()
-        );
+        log.emit("session_start", |o| {
+            o.int("session", session).str("peer", &peer.to_string())
+        });
         let service = service.clone();
         handlers.push(std::thread::spawn(move || {
             let reader = match stream.try_clone() {
                 Ok(s) => BufReader::new(s),
                 Err(e) => {
-                    eprintln!("cannot clone client stream: {e}");
+                    log.emit("session_error", |o| {
+                        o.int("session", session)
+                            .str("error", &format!("cannot clone client stream: {e}"))
+                    });
                     return;
                 }
             };
             match serve_client_with(&service, reader, &stream, &limits) {
-                Ok(stats) => eprintln!(
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_end")
-                        .int("session", session)
+                Ok(stats) => log.emit("session_end", |o| {
+                    o.int("session", session)
                         .int("submitted", stats.submitted as u64)
                         .int("cache_hits", stats.cache_hits as u64)
                         .int("rejected", stats.rejected as u64)
@@ -825,16 +645,10 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
                         .int("cancelled", stats.cancelled as u64)
                         .int("malformed", stats.malformed as u64)
                         .str("evicted", stats.evicted.unwrap_or(""))
-                        .finish()
-                ),
-                Err(e) => eprintln!(
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_error")
-                        .int("session", session)
-                        .str("error", &e)
-                        .finish()
-                ),
+                }),
+                Err(e) => log.emit("session_error", |o| {
+                    o.int("session", session).str("error", &e)
+                }),
             }
         }));
         served += 1;
@@ -993,25 +807,12 @@ fn submit_attempt(
     }
 }
 
-/// Seeded-jitter exponential backoff between submit attempts — the same
-/// shape as `drive`'s worker-restart delay: cap doubles per attempt up to
-/// [`BACKOFF_MAX`], the delay lands uniformly in `[cap/2, cap]`.
-fn submit_retry_delay(rng: &mut Xoshiro256, attempt: u64) -> Duration {
-    let base = BACKOFF_BASE.as_nanos() as u64;
-    let max = BACKOFF_MAX.as_nanos() as u64;
-    let cap = base
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(max.max(base))
-        .max(2);
-    Duration::from_nanos(cap / 2 + rng.range(0, cap / 2 + 1))
-}
-
 /// Upper bound on honoring a server's `retry_after_ms` hint — a hostile
 /// or confused server must not park the client for minutes.
 const SHED_DELAY_CAP: Duration = Duration::from_secs(10);
 
 /// The wait after a shed submit: the server's hint, capped, under the
-/// same seeded half-jitter as [`submit_retry_delay`] — the delay lands
+/// same seeded half-jitter as [`backoff_delay`] — the delay lands
 /// uniformly in `[hint/2, hint]`.
 fn shed_delay(rng: &mut Xoshiro256, retry_after_ms: u64) -> Duration {
     let hint = Duration::from_millis(retry_after_ms.max(1)).min(SHED_DELAY_CAP);
@@ -1071,18 +872,14 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
         }
         let delay = match hint {
             Some(retry_after_ms) => shed_delay(&mut rng, retry_after_ms),
-            None => submit_retry_delay(&mut rng, attempt),
+            None => backoff_delay(&mut rng, &DriveConfig::default(), attempt as usize),
         };
         attempt += 1;
-        eprintln!(
-            "{}",
-            JsonObj::new()
-                .str("event", "submit_retry")
-                .int("attempt", attempt)
+        EventLog::stderr().emit("submit_retry", |o| {
+            o.int("attempt", attempt)
                 .int("delay_ms", delay.as_millis() as u64)
                 .str("error", &why)
-                .finish()
-        );
+        });
         std::thread::sleep(delay);
     }
 }

@@ -1,19 +1,24 @@
 //! End-to-end service determinism over real sockets and processes:
 //! `amulet serve` fed by one remote `amulet worker --listen` plus one
 //! in-process worker, driven twice by the `amulet submit` client — with
-//! the remote worker killed mid-first-run. The first result must carry
-//! the in-process CLI fingerprint (the quarantine/orphan-adoption ladder
-//! holding under the service), the second must be a byte-equal cache hit
-//! that executes zero batches, the daemon must exit cleanly after its
-//! session budget, and the corpus file must hold the findings.
+//! the remote worker killed once the daemon is up. The first result must
+//! carry the in-process CLI fingerprint (the slot ladder's orphaning and
+//! adoption holding under the service), the second must be a byte-equal
+//! cache hit that executes zero batches, the daemon must exit cleanly
+//! after its session budget with a structured event log, and the corpus
+//! file must hold the findings.
 //!
 //! The in-memory version of these assertions (more campaigns, controlled
 //! scheduling) lives at the workspace root in `tests/serve_session.rs`.
 
+use amulet_cli::ServiceHost;
+use amulet_core::proto::CampaignSpec;
+use amulet_core::{Service, ServiceEvent, SubmitOutcome};
 use std::io::{BufRead, BufReader, Read};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_amulet");
 // The quick shape at batch 3 — same campaign identity for the in-process
@@ -38,7 +43,8 @@ struct Announced {
 
 impl Announced {
     /// Spawns the binary and scrapes `"addr":"..."` from the first
-    /// structured announcement line on stderr.
+    /// structured announcement line on stderr (every stderr line, the
+    /// scraped ones included, is kept for later assertions).
     fn spawn(args: &[&str]) -> Self {
         let mut child = Command::new(BIN)
             .args(args)
@@ -48,10 +54,12 @@ impl Announced {
             .spawn()
             .expect("spawn amulet");
         let mut reader = BufReader::new(child.stderr.take().unwrap());
+        let mut seen = Vec::new();
         let addr = loop {
             let mut line = String::new();
             let n = reader.read_line(&mut line).expect("read stderr");
             assert!(n > 0, "{args:?} exited before announcing its address");
+            seen.extend_from_slice(line.as_bytes());
             if let Some(at) = line.find("\"addr\":\"") {
                 let rest = &line[at + "\"addr\":\"".len()..];
                 break rest[..rest.find('"').unwrap()].to_string();
@@ -59,7 +67,7 @@ impl Announced {
         };
         // Keep draining stderr (the process must never block on a full
         // pipe) into a buffer the test can assert on.
-        let stderr = Arc::new(Mutex::new(Vec::new()));
+        let stderr = Arc::new(Mutex::new(seen));
         let sink = stderr.clone();
         std::thread::spawn(move || {
             let mut buf = [0u8; 4096];
@@ -138,18 +146,15 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
         "2",
     ]);
 
-    // Kill the remote worker once the first campaign is plausibly mid-run.
-    // If the campaign finishes first the kill is a no-op — the assertions
-    // hold either way; the deterministic mid-batch story is covered by the
-    // in-memory suites.
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(300));
-        drop(worker);
-    });
+    // Kill the remote worker before the first campaign starts: the quick
+    // campaign runs in milliseconds, so a kill timed mid-run would land
+    // after the result. The daemon's TCP slot now fails its first lease,
+    // and the local worker adopts the orphaned batch. The deterministic
+    // mid-batch story is covered by the in-memory suites.
+    drop(worker);
 
     let submit_args: Vec<&str> = [&["submit", "--connect", &serve.addr], SHAPE].concat();
     let first = json_line_of(&submit_args);
-    killer.join().unwrap();
     assert_eq!(
         field(&first, "fingerprint"),
         reference,
@@ -182,6 +187,25 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
         2,
         "both client sessions must close cleanly:\n{log}"
     );
+    // The TCP slot's failures are structured rows, and every daemon event
+    // row — sessions and slots alike — carries one dense monotonic seq.
+    assert!(
+        log.contains("\"event\":\"link_failure\""),
+        "the dead worker's failures must be logged as events:\n{log}"
+    );
+    let seqs: Vec<u64> = log
+        .lines()
+        .filter(|line| line.contains("\"event\":"))
+        .map(|line| {
+            amulet_util::parse_json(line)
+                .unwrap_or_else(|e| panic!("event row is not JSON ({e}): {line}"))
+                .get("seq")
+                .and_then(|seq| seq.as_u64())
+                .unwrap_or_else(|| panic!("event row lacks a seq: {line}"))
+        })
+        .collect();
+    let expected: Vec<u64> = (0..seqs.len() as u64).collect();
+    assert_eq!(seqs, expected, "seq must be dense and monotonic:\n{log}");
 
     // The violating campaign left its findings in the corpus, and the
     // query tool reads them back.
@@ -201,4 +225,65 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
     let listed = String::from_utf8(queried.stdout).unwrap();
     assert_eq!(listed.lines().count(), text.lines().count());
     let _ = std::fs::remove_file(&corpus);
+}
+
+/// The dead-fleet rule over real sockets: a daemon whose only slot is a
+/// `--connect` address that can never run the campaign — refused, or a
+/// worker serving a different config — fails the campaign with an error
+/// `result` promptly instead of leaving it runnable forever.
+#[test]
+fn a_dead_or_mismatched_fleet_fails_the_campaign_instead_of_hanging() {
+    // Reserve a port, then free it: a refused (not hanging) connect.
+    let refused = {
+        let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
+        placeholder.local_addr().unwrap().to_string()
+    };
+    let other = Announced::spawn(&[
+        "worker",
+        "--listen",
+        "127.0.0.1:0",
+        "--defense",
+        "STT",
+        "--contract",
+        "ARCH-SEQ",
+    ]);
+    let spec = CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: None,
+        find_first: false,
+        batch_programs: 3,
+        cycle_skip: true,
+    };
+    for (addr, expect) in [
+        (refused, "campaign incomplete"),
+        (other.addr.clone(), "config mismatch"),
+    ] {
+        let service = Arc::new(Service::new());
+        let events = service.subscribe();
+        let host = ServiceHost::start(service.clone(), 0, std::slice::from_ref(&addr));
+        let SubmitOutcome::Accepted { campaign, .. } = service.submit(&spec).unwrap() else {
+            panic!("a fresh service cannot answer from its cache")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(ServiceEvent::Finished { campaign: c }) if c == campaign => break,
+                Ok(_) => {}
+                Err(_) => panic!("campaign on a dead fleet ({addr}) hung past 30 s"),
+            }
+        }
+        let result = service.take_result(campaign).expect("finished");
+        let error = result
+            .error
+            .expect("a dead fleet must yield an error result");
+        assert!(error.contains(expect), "{addr}: {error}");
+        if expect == "config mismatch" {
+            assert!(!error.contains("campaign incomplete"), "{error}");
+        }
+        assert!(result.report.is_none() && !result.cancelled);
+        host.shutdown();
+    }
 }

@@ -90,7 +90,7 @@ pub use minimize::{minimize, Minimized};
 pub use proto::{CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION};
 pub use service::{Admission, Lease, LeaseWait, Service, ServiceEvent, SubmitOutcome};
 pub use shard::{
-    plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSink, BatchSource,
-    BatchSpec, CollectSink, CursorSource, Fragment, ShardConfig, ShardedCampaign,
+    plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSource, BatchSpec,
+    CursorSource, Fragment, ShardConfig, ShardedCampaign,
 };
 pub use trace::{TraceFormat, UTrace};

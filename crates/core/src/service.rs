@@ -36,12 +36,25 @@
 //! (full disk, torn files) degrade to warnings, never to wrong results:
 //! an unusable journal means recomputing, not corrupting.
 //!
-//! The service is transport-agnostic: `amulet serve` (the CLI) wires
-//! client sockets to [`Service::submit`]/[`Service::subscribe`] and worker
-//! loops to [`Service::wait_lease`]/[`Service::complete`]; the in-memory
-//! test suite drives the same methods directly.
+//! # The fleet
+//!
+//! The service is the only lease source of every multi-worker path, and
+//! it is transport-agnostic: `amulet serve` (the CLI) wires client sockets
+//! to [`Service::submit`]/[`Service::subscribe`] and worker slots to
+//! [`Service::wait_lease`]/[`Service::complete`]; `amulet drive` is a
+//! service holding one campaign ([`Service::submit_config`], read back
+//! with [`Service::take_report`]); the in-memory test suite drives the
+//! same methods directly.
+//!
+//! Worker slots announce themselves ([`Service::attach_slot`] /
+//! [`Service::detach_slot`]) so the service can apply one dead-fleet rule
+//! for every front end: once a slot has attached, a campaign with
+//! runnable work fails with an error result — instead of waiting forever —
+//! when every attached slot has [rejected](Service::reject) its config, or
+//! when the last attached slot detaches. The rule never fires during
+//! [`Service::shutdown`] or a [`Service::drain`].
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::corpus::{records_from_report, Corpus};
 use crate::journal::{
     load_journal, warn_note, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir,
@@ -51,7 +64,7 @@ use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, Bat
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A progress notification broadcast to every [`Service::subscribe`]r.
@@ -155,6 +168,9 @@ pub struct Lease {
     pub cfg: CampaignConfig,
     /// The campaign's detection-time anchor.
     pub anchor: Instant,
+    /// Whether this batch was returned unexecuted by another lease (a
+    /// failing slot's orphan) — what the fleet event log calls `adopt`.
+    pub adopted: bool,
 }
 
 /// The outcome of one [`Service::wait_lease`] call.
@@ -176,7 +192,10 @@ struct ActiveCampaign {
     /// The submitting client's identity (`u64::MAX` = anonymous) — what
     /// the per-client in-flight quota counts.
     owner: u64,
-    key: String,
+    /// The [`CampaignSpec::cache_key`]; `None` for a config admitted by
+    /// [`Service::submit_config`], which is neither cached nor journaled
+    /// and keeps its reduced report for [`Service::take_report`].
+    key: Option<String>,
     cfg: CampaignConfig,
     /// Batches still to execute. After a journal resume this holds only
     /// the *missing* indices — `total_batches` keeps the plan size.
@@ -200,6 +219,10 @@ struct ActiveCampaign {
     done_batches: u64,
     cancelled: bool,
     start: Instant,
+    /// Slots that rejected this campaign's config at the hello handshake,
+    /// and the latest mismatch text (the dead-fleet rule's error).
+    rejected: Vec<usize>,
+    rejection: String,
 }
 
 impl ActiveCampaign {
@@ -208,21 +231,22 @@ impl ActiveCampaign {
         self.cfg.stop_on_first && self.earliest_hit.is_some_and(|hit| index > hit)
     }
 
-    /// The next batch to lease, if any: orphans first (lowest index — they
-    /// block the coverage check), then the cursor, skipping past-hit work.
-    fn next_runnable(&mut self) -> Option<BatchSpec> {
+    /// The next batch to lease, if any, and whether it is an adopted
+    /// orphan: orphans first (lowest index — they block the coverage
+    /// check), then the cursor, skipping past-hit work.
+    fn next_runnable(&mut self) -> Option<(BatchSpec, bool)> {
         loop {
-            let spec =
+            let (spec, adopted) =
                 if let Some(pos) = (0..self.orphans.len()).min_by_key(|&i| self.orphans[i].index) {
-                    self.orphans.swap_remove(pos)
+                    (self.orphans.swap_remove(pos), true)
                 } else if self.cursor < self.batches.len() {
                     self.cursor += 1;
-                    self.batches[self.cursor - 1]
+                    (self.batches[self.cursor - 1], false)
                 } else {
                     return None;
                 };
             if !self.past_hit(spec.index) {
-                return Some(spec);
+                return Some((spec, adopted));
             }
             // Past-hit batches are dropped, not executed: the reducer
             // keeps only the prefix up to the hit anyway.
@@ -256,8 +280,9 @@ struct Inner {
     admission: Admission,
     /// Set by [`Service::drain`]: stop admitting, wind down.
     draining: bool,
-    /// Terminal results awaiting [`Service::take_result`].
-    finished: HashMap<u64, ResultMsg>,
+    /// Terminal results awaiting [`Service::take_result`], with the
+    /// reduced report of [`Service::submit_config`] campaigns.
+    finished: HashMap<u64, (ResultMsg, Option<CampaignReport>)>,
     /// Completed reports keyed by [`CampaignSpec::cache_key`].
     cache: HashMap<String, ResultMsg>,
     /// Open write-ahead journals keyed by campaign id.
@@ -270,6 +295,10 @@ struct Inner {
     armed_crash: Option<CrashPlan>,
     subscribers: Vec<Sender<ServiceEvent>>,
     shutdown: bool,
+    /// Slot ids handed out so far — non-zero arms the dead-fleet rule.
+    next_slot: usize,
+    /// Attached (live) slot ids.
+    slots: Vec<usize>,
 }
 
 /// The long-lived campaign service: shared scheduler state plus the
@@ -359,15 +388,40 @@ impl Service {
     /// [`SubmitOutcome::Rejected`].
     pub fn submit_for(&self, client: u64, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
         let cfg = spec.resolve()?;
-        let key = spec.cache_key();
-        let batches = plan_batches(&cfg, spec.batch_programs);
+        self.admit(client, cfg, spec.batch_programs, Some(spec))
+    }
+
+    /// Submits an already-resolved config anonymously, planned at
+    /// `batch_programs` — for campaigns no [`CampaignSpec`] can name (any
+    /// program count, any executor knob). Such a campaign is neither
+    /// cached nor journaled, and its terminal outcome is read with
+    /// [`Service::take_report`].
+    pub fn submit_config(
+        &self,
+        cfg: CampaignConfig,
+        batch_programs: usize,
+    ) -> Result<SubmitOutcome, String> {
+        self.admit(u64::MAX, cfg, batch_programs, None)
+    }
+
+    /// The shared admit step: cache lookup and journal resume for `spec`
+    /// campaigns, admission control for everyone.
+    fn admit(
+        &self,
+        client: u64,
+        cfg: CampaignConfig,
+        batch_programs: usize,
+        spec: Option<&CampaignSpec>,
+    ) -> Result<SubmitOutcome, String> {
+        let key = spec.map(CampaignSpec::cache_key);
+        let batches = plan_batches(&cfg, batch_programs);
         let mut inner = self.inner.lock().unwrap();
         if inner.shutdown {
             return Err("service is shutting down".into());
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        if let Some(hit) = inner.cache.get(&key) {
+        if let Some(hit) = key.as_ref().and_then(|k| inner.cache.get(k)) {
             let result = ResultMsg {
                 campaign: id,
                 cached: true,
@@ -425,17 +479,17 @@ impl Service {
         // scratch over a fresh file — never trusting bad data.
         let mut recovered_frags: Vec<Fragment> = Vec::new();
         let mut journal: Option<CampaignJournal> = None;
-        if let Some(state) = &self.state {
-            if !inner.journaled_keys.contains(&key) {
-                let path = state.journal_path(&key);
+        if let (Some(state), Some(spec), Some(key)) = (&self.state, spec, &key) {
+            if !inner.journaled_keys.contains(key) {
+                let path = state.journal_path(key);
                 let header = JournalHeader::for_spec(spec, total_batches);
-                let replay = match load_journal(&path, &key) {
+                let replay = match load_journal(&path, key) {
                     Ok(Some(r)) if r.header.total_batches == total_batches => Some(r),
                     Ok(Some(r)) => {
                         warn_note(
                             "journal_plan_mismatch",
                             &[
-                                ("key", key.as_str()),
+                                ("key", key),
                                 ("journaled", &r.header.total_batches.to_string()),
                                 ("planned", &total_batches.to_string()),
                             ],
@@ -444,10 +498,7 @@ impl Service {
                     }
                     Ok(None) => None,
                     Err(e) => {
-                        warn_note(
-                            "journal_unusable",
-                            &[("key", key.as_str()), ("error", e.as_str())],
-                        );
+                        warn_note("journal_unusable", &[("key", key), ("error", e.as_str())]);
                         None
                     }
                 };
@@ -461,7 +512,7 @@ impl Service {
                     // recovered work is valid work, it just won't extend.
                     Err(e) => warn_note(
                         "journal_open_failed",
-                        &[("key", key.as_str()), ("error", e.as_str())],
+                        &[("key", key), ("error", e.as_str())],
                     ),
                 }
                 if let Some(r) = replay {
@@ -515,8 +566,10 @@ impl Service {
             done_batches: recovered,
             cancelled: false,
             start: Instant::now(),
+            rejected: Vec::new(),
+            rejection: String::new(),
         };
-        if let Some(j) = journal {
+        if let (Some(j), Some(key)) = (journal, key) {
             inner.journals.insert(id, j);
             inner.journaled_keys.insert(key);
         }
@@ -525,17 +578,18 @@ impl Service {
             // batches): no lease will ever issue, so finalize right here.
             // It consumed no admission slot, so no capacity check applies.
             drop(inner);
-            self.finalize(camp);
-        } else if active_full {
-            // Checked above: the queue has room. Journal resume already
-            // happened, so a queued campaign loses nothing by waiting.
-            inner.queued.push_back(camp);
-            drop(inner);
+            self.finalize(camp, None);
         } else {
-            inner.active.push(camp);
-            drop(inner);
+            if active_full {
+                // Checked above: the queue has room. Journal resume already
+                // happened, so a queued campaign loses nothing by waiting.
+                inner.queued.push_back(camp);
+            } else {
+                inner.active.push(camp);
+            }
+            // A fleet that already died answers at once, not never.
+            self.settle(inner);
         }
-        self.wake.notify_all();
         Ok(SubmitOutcome::Accepted {
             campaign: id,
             total_batches,
@@ -663,13 +717,14 @@ impl Service {
             if camp.cancelled || !eligible(camp.id) {
                 continue;
             }
-            if let Some(spec) = camp.next_runnable() {
+            if let Some((spec, adopted)) = camp.next_runnable() {
                 camp.outstanding += 1;
                 let lease = Lease {
                     campaign: camp.id,
                     spec,
                     cfg: camp.cfg.clone(),
                     anchor: camp.start,
+                    adopted,
                 };
                 inner.rr = (pos + 1) % n;
                 return Some(lease);
@@ -682,18 +737,95 @@ impl Service {
     /// into the campaign's orphan pool for the next taker.
     pub fn release(&self, lease: Lease) {
         let mut inner = self.inner.lock().unwrap();
+        Self::orphan(&mut inner, lease);
+        drop(inner);
+        self.wake.notify_all();
+    }
+
+    fn orphan(inner: &mut Inner, lease: Lease) {
         if let Some(pos) = inner.active.iter().position(|c| c.id == lease.campaign) {
             let camp = &mut inner.active[pos];
             camp.outstanding -= 1;
             camp.orphans.push(lease.spec);
             if camp.cancelled && camp.outstanding == 0 {
                 let camp = inner.active.swap_remove(pos);
-                Self::finish_cancelled(&mut inner, camp);
-                Self::promote(&mut inner);
+                Self::finish_cancelled(inner, camp);
+                Self::promote(inner);
             }
+        }
+    }
+
+    /// Returns a lease unexecuted because `slot`'s worker rejected the
+    /// campaign's config at the hello handshake (`reason` is the mismatch
+    /// text). The slot must not lease this campaign again; once every
+    /// attached slot has rejected it, the campaign fails with `reason`.
+    pub fn reject(&self, lease: Lease, slot: usize, reason: String) {
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(camp) = inner.active.iter_mut().find(|c| c.id == lease.campaign) {
+            if !camp.rejected.contains(&slot) {
+                camp.rejected.push(slot);
+            }
+            camp.rejection = reason;
+        }
+        Self::orphan(&mut inner, lease);
+        self.settle(inner);
+    }
+
+    /// Registers a worker slot and returns its id (dense from 0 on a fresh
+    /// service). The first attach arms the dead-fleet rule.
+    pub fn attach_slot(&self) -> usize {
+        let mut inner = self.inner.lock().unwrap();
+        let slot = inner.next_slot;
+        inner.next_slot += 1;
+        inner.slots.push(slot);
+        slot
+    }
+
+    /// Unregisters a slot that will lease no more (quarantine, shutdown).
+    /// When it was the last one, every campaign with runnable work fails.
+    pub fn detach_slot(&self, slot: usize) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.slots.retain(|&s| s != slot);
+        self.settle(inner);
+    }
+
+    /// Releases the lock after a fleet change: applies the dead-fleet rule
+    /// (see the [module docs](self)), wakes waiters, and finalizes every
+    /// campaign the rule failed.
+    fn settle(&self, mut inner: MutexGuard<'_, Inner>) {
+        let mut doomed = Vec::new();
+        if !inner.shutdown && !inner.draining && inner.next_slot > 0 {
+            let no_slots = inner.slots.is_empty();
+            if no_slots {
+                doomed.extend(inner.queued.drain(..).map(|c| (c, None)));
+            }
+            let mut i = 0;
+            while i < inner.active.len() {
+                let camp = &inner.active[i];
+                let stuck = !camp.cancelled && camp.has_runnable();
+                if stuck && (no_slots || inner.slots.iter().all(|s| camp.rejected.contains(s))) {
+                    let camp = inner.active.swap_remove(i);
+                    let rejection = (!no_slots).then(|| camp.rejection.clone());
+                    doomed.push((camp, rejection));
+                } else {
+                    i += 1;
+                }
+            }
+            Self::promote(&mut inner);
         }
         drop(inner);
         self.wake.notify_all();
+        for (camp, rejection) in doomed {
+            let error = rejection.unwrap_or_else(|| {
+                format!(
+                    "campaign incomplete: every worker slot detached with {} of {} batch(es) \
+                     unfinished (see the fleet event log)",
+                    camp.total_batches as u64 - camp.done_batches,
+                    camp.total_batches
+                )
+            });
+            self.finalize(camp, Some(error));
+        }
     }
 
     /// Completes a lease with its executed fragment. Drives the campaign's
@@ -760,74 +892,73 @@ impl Service {
         drop(inner);
         self.wake.notify_all();
         if let Some(camp) = finished {
-            self.finalize(camp);
+            self.finalize(camp, None);
         }
     }
 
-    /// Reduces a drained campaign to its terminal result, fills the cache
-    /// (writing through to the state dir, then retiring the journal),
-    /// appends to the corpus, and announces [`ServiceEvent::Finished`].
-    fn finalize(&self, camp: ActiveCampaign) {
+    /// Reduces a drained campaign to its terminal result — or fails it
+    /// with `failure` — fills the cache (writing through to the state dir,
+    /// then retiring the journal), appends to the corpus, and announces
+    /// [`ServiceEvent::Finished`].
+    fn finalize(&self, camp: ActiveCampaign, failure: Option<String>) {
         let hit = camp
             .cfg
             .stop_on_first
             .then_some(camp.earliest_hit)
             .flatten();
-        let total = camp.total_batches;
-        let result = match verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, total) {
-            Ok(()) => {
-                let report = reduce_fragments(camp.cfg, camp.fragments, hit, camp.start.elapsed());
-                if let Some(corpus) = &self.corpus {
-                    // Best-effort: a full disk must not fail the campaign,
-                    // but the operator should hear about it.
-                    if let Err(e) = corpus.append(&records_from_report(&report)) {
-                        eprintln!("corpus append failed: {e}");
-                    }
-                }
-                ResultMsg {
-                    campaign: camp.id,
-                    cached: false,
-                    cancelled: false,
-                    executed_batches: camp.executed,
-                    report: Some(ReportWire::from_report(&report)),
-                    error: None,
-                }
+        let reduced = match failure {
+            Some(e) => Err(e),
+            None => verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, camp.total_batches)
+                .map(|()| reduce_fragments(camp.cfg, camp.fragments, hit, camp.start.elapsed()))
+                .map_err(|e| format!("campaign incomplete: {e}")),
+        };
+        if let (Ok(report), Some(corpus)) = (&reduced, &self.corpus) {
+            // Best-effort: a full disk must not fail the campaign, but the
+            // operator should hear about it.
+            if let Err(e) = corpus.append(&records_from_report(report)) {
+                eprintln!("corpus append failed: {e}");
             }
-            Err(e) => ResultMsg {
-                campaign: camp.id,
-                cached: false,
-                cancelled: false,
-                executed_batches: camp.executed,
-                report: None,
-                error: Some(format!("campaign incomplete: {e}")),
-            },
+        }
+        let result = ResultMsg {
+            campaign: camp.id,
+            cached: false,
+            cancelled: false,
+            executed_batches: camp.executed,
+            report: reduced.as_ref().ok().map(ReportWire::from_report),
+            error: reduced.as_ref().err().cloned(),
         };
         let mut inner = self.inner.lock().unwrap();
         // Close the journal handle before any unlink.
         drop(inner.journals.remove(&camp.id));
-        if camp.journaled {
-            inner.journaled_keys.remove(&camp.key);
+        if let (true, Some(key)) = (camp.journaled, &camp.key) {
+            inner.journaled_keys.remove(key);
         }
-        if result.report.is_some() {
-            if let Some(state) = &self.state {
-                // Write-through THEN delete: a crash between the two leaves
-                // both files, and the startup pass clears the stale journal
-                // against the cache. A failed write-through keeps the
-                // journal, so a restart resumes with zero re-execution.
-                match state.append_cache(&camp.key, &result) {
-                    Ok(()) if camp.journaled => {
-                        let _ = std::fs::remove_file(state.journal_path(&camp.key));
+        let mut kept = None;
+        match (camp.key, reduced) {
+            (Some(key), Ok(_)) => {
+                if let Some(state) = &self.state {
+                    // Write-through THEN delete: a crash between the two
+                    // leaves both files, and the startup pass clears the
+                    // stale journal against the cache. A failed write-through
+                    // keeps the journal, so a restart resumes with zero
+                    // re-execution.
+                    match state.append_cache(&key, &result) {
+                        Ok(()) if camp.journaled => {
+                            let _ = std::fs::remove_file(state.journal_path(&key));
+                        }
+                        Ok(()) => {}
+                        Err(e) => warn_note(
+                            "cache_write_failed",
+                            &[("key", key.as_str()), ("error", e.as_str())],
+                        ),
                     }
-                    Ok(()) => {}
-                    Err(e) => warn_note(
-                        "cache_write_failed",
-                        &[("key", camp.key.as_str()), ("error", e.as_str())],
-                    ),
                 }
+                inner.cache.insert(key, result.clone());
             }
-            inner.cache.insert(camp.key.clone(), result.clone());
+            (None, reduced) => kept = reduced.ok(),
+            (Some(_), Err(_)) => {}
         }
-        inner.finished.insert(camp.id, result);
+        inner.finished.insert(camp.id, (result, kept));
         Self::broadcast(&mut inner, ServiceEvent::Finished { campaign: camp.id });
         drop(inner);
         self.wake.notify_all();
@@ -837,20 +968,18 @@ impl Service {
         // The journal handle closes here, but the FILE stays: a cancelled
         // campaign's executed prefix is valid work a resubmit can resume.
         drop(inner.journals.remove(&camp.id));
-        if camp.journaled {
-            inner.journaled_keys.remove(&camp.key);
+        if let (true, Some(key)) = (camp.journaled, &camp.key) {
+            inner.journaled_keys.remove(key);
         }
-        inner.finished.insert(
-            camp.id,
-            ResultMsg {
-                campaign: camp.id,
-                cached: false,
-                cancelled: true,
-                executed_batches: camp.executed,
-                report: None,
-                error: None,
-            },
-        );
+        let result = ResultMsg {
+            campaign: camp.id,
+            cached: false,
+            cancelled: true,
+            executed_batches: camp.executed,
+            report: None,
+            error: None,
+        };
+        inner.finished.insert(camp.id, (result, None));
         Self::broadcast(inner, ServiceEvent::Finished { campaign: camp.id });
     }
 
@@ -870,7 +999,20 @@ impl Service {
 
     /// Removes and returns a finished campaign's terminal result.
     pub fn take_result(&self, campaign: u64) -> Option<ResultMsg> {
-        self.inner.lock().unwrap().finished.remove(&campaign)
+        let (result, _) = self.inner.lock().unwrap().finished.remove(&campaign)?;
+        Some(result)
+    }
+
+    /// Removes a finished [`Service::submit_config`] campaign's terminal
+    /// outcome: the reduced report itself (detection times included, which
+    /// the wire's [`ReportWire`] drops), or the campaign's error.
+    pub fn take_report(&self, campaign: u64) -> Option<Result<CampaignReport, String>> {
+        let (result, report) = self.inner.lock().unwrap().finished.remove(&campaign)?;
+        Some(report.ok_or_else(|| {
+            result
+                .error
+                .unwrap_or_else(|| format!("campaign {campaign} ended without a report"))
+        }))
     }
 
     /// Whether `campaign` is still in flight (active or queued) — worker

@@ -14,14 +14,13 @@
 //!   identical no matter which worker runs it, in what order, how many
 //!   workers exist — or **which process** they live in.
 //! - A [`BatchSource`] hands out batches and carries the find-first
-//!   early-exit broadcast; a [`BatchSink`] collects the resulting
-//!   [`Fragment`]s. The canonical source is [`CursorSource`] (work stealing
-//!   without queues: an atomic cursor hands out batch indices in order, so
-//!   a slow batch never blocks the rest) and the canonical sink is
-//!   [`CollectSink`]. The in-process pool ([`ShardedCampaign`]) and the
-//!   multi-process driver (`amulet drive`, which serialises assignments
-//!   over `amulet_core::proto`) are two consumers of the *same* source and
-//!   reducer — which is why their fingerprints agree.
+//!   early-exit broadcast. The canonical source is [`CursorSource`] (work
+//!   stealing without queues: an atomic cursor hands out batch indices in
+//!   order, so a slow batch never blocks the rest), which the in-process
+//!   pool ([`ShardedCampaign`]) drains. Every multi-worker fabric path
+//!   (`amulet drive`, `amulet serve`) instead leases the *same* plan
+//!   ([`plan_batches`]) from the [`Service`](crate::Service) and reduces
+//!   with the *same* reducer — which is why their fingerprints agree.
 //! - In find-first mode ([`CampaignConfig::stop_on_first`]) a confirmed
 //!   violation broadcasts its batch index; the source stops handing out
 //!   batches beyond the earliest violating index, and the reducer discards
@@ -160,12 +159,6 @@ pub trait BatchSource: Sync {
     fn record_hit(&self, index: usize);
 }
 
-/// Collects executed fragments for reduction.
-pub trait BatchSink: Sync {
-    /// Accepts one executed fragment (any order; the reducer sorts).
-    fn submit(&self, fragment: Fragment);
-}
-
 /// The canonical [`BatchSource`]: the whole batch plan behind an atomic
 /// cursor, plus the find-first early-exit broadcast (an atomic `fetch_min`
 /// of the earliest violating batch index).
@@ -224,30 +217,6 @@ impl BatchSource for CursorSource {
         if self.stop_on_first {
             self.earliest_hit.fetch_min(index, Ordering::SeqCst);
         }
-    }
-}
-
-/// The canonical [`BatchSink`]: a mutex-guarded fragment vector.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    fragments: Mutex<Vec<Fragment>>,
-}
-
-impl CollectSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the sink, yielding the collected fragments (arrival order).
-    pub fn into_fragments(self) -> Vec<Fragment> {
-        self.fragments.into_inner().unwrap()
-    }
-}
-
-impl BatchSink for CollectSink {
-    fn submit(&self, fragment: Fragment) {
-        self.fragments.lock().unwrap().push(fragment);
     }
 }
 
@@ -324,10 +293,10 @@ pub fn run_batch(
 /// batch index the reducer will keep (`0..total_batches`, or `0..=hit` in
 /// find-first mode) is present exactly once, and no index appears twice.
 ///
-/// The in-process pool satisfies this by construction; a fault-tolerant
-/// driver — where batches are re-run after crashes, re-assigned after
-/// quarantines, and adopted by surviving workers — calls this before
-/// reducing, so a scheduling bug under churn becomes a loud campaign error
+/// The in-process pool satisfies this by construction; the fault-tolerant
+/// [`Service`](crate::Service) — where batches are re-run after crashes,
+/// re-assigned after quarantines, and adopted by surviving workers — calls
+/// this before reducing, so a scheduling bug under churn becomes a loud campaign error
 /// instead of a silently wrong (but plausible-looking) fingerprint.
 pub fn verify_fragment_coverage(
     cfg: &CampaignConfig,
@@ -368,15 +337,14 @@ pub fn verify_fragment_coverage(
 }
 
 /// The deterministic reducer both the in-process pool and the
-/// multi-process driver share: sorts fragments by batch index, keeps the
+/// [`Service`](crate::Service) share: sorts fragments by batch index, keeps the
 /// `index <= earliest_hit` prefix when find-first trimmed the plan, and
 /// folds stats / violations / detection time into one [`CampaignReport`].
 ///
 /// Find-first cancellation can never change the reduced prefix: sources
 /// hand out batch indices in order, so every batch at or before the
 /// earliest hit ran to completion before the campaign stopped, and
-/// fragments past the hit — including `amulet worker`'s skipped-batch
-/// acknowledgements — are exactly the ones dropped here.
+/// fragments past the hit are exactly the ones dropped here.
 pub fn reduce_fragments(
     cfg: CampaignConfig,
     mut fragments: Vec<Fragment>,
@@ -444,7 +412,7 @@ impl ShardedCampaign {
         let cfg = self.cfg;
         let workers = self.shard.resolved_workers();
         let source = CursorSource::new(&cfg, self.shard.batch_programs);
-        let sink = CollectSink::new();
+        let fragments = Mutex::new(Vec::new());
         let start = Instant::now();
 
         std::thread::scope(|scope| {
@@ -458,14 +426,14 @@ impl ShardedCampaign {
                         if !frag.digests.is_empty() {
                             source.record_hit(spec.index);
                         }
-                        sink.submit(frag);
+                        fragments.lock().unwrap().push(frag);
                     }
                 });
             }
         });
         let wall = start.elapsed();
         let hit = source.earliest_hit();
-        reduce_fragments(cfg, sink.into_fragments(), hit, wall)
+        reduce_fragments(cfg, fragments.into_inner().unwrap(), hit, wall)
     }
 }
 
