@@ -8,6 +8,15 @@
 //! reopens to exactly the records written (`amulet corpus` queries it),
 //! and because it is append-only, a daemon restart loses nothing.
 //!
+//! [`records_from_report`] minimises a report's violations one program at
+//! a time ([`crate::minimize::minimize_program`]): the violations of one
+//! program share a memo of their class representative's digests, dropped
+//! before the next program, and the records come back in report order.
+//! The memo only saves work — every record is byte-identical to
+//! minimising its violation alone. [`Corpus::append`] writes a whole batch
+//! as one buffer with one `write_all`, so concurrent appenders never
+//! interleave inside a line.
+//!
 //! # Encoding
 //!
 //! The same bit-exactness rules as the wire protocol (`crate::proto`):
@@ -29,8 +38,8 @@
 //! ```
 
 use crate::campaign::{executor_for, CampaignReport, Fnv1a, ViolationDigest};
-use crate::detect::Detector;
-use crate::minimize::minimize;
+use crate::detect::{Detector, Violation};
+use crate::minimize::{minimize_program, Minimized};
 use crate::proto::{hex_arr_field, hex_u64, str_field, u64_field, violation_from_json};
 use amulet_contracts::LeakageModel;
 use amulet_isa::TestInput;
@@ -186,23 +195,25 @@ impl Corpus {
     }
 
     /// Appends records, creating the file if needed; returns the count
-    /// written. Each record is flushed as one line, so a reader observing
-    /// the file mid-append sees only whole records.
+    /// written. The batch is serialised into one buffer and written with a
+    /// single `write_all` on an append-mode file, so appenders racing on
+    /// the same file never interleave inside a line.
     pub fn append(&self, records: &[CorpusRecord]) -> Result<usize, String> {
         if records.is_empty() {
             return Ok(0);
         }
-        let mut file = std::fs::OpenOptions::new()
+        let mut buf = String::new();
+        for rec in records {
+            buf.push_str(&rec.to_line());
+            buf.push('\n');
+        }
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)
-            .map_err(|e| format!("cannot open corpus {}: {e}", self.path.display()))?;
-        for rec in records {
-            writeln!(file, "{}", rec.to_line())
-                .map_err(|e| format!("cannot append to corpus {}: {e}", self.path.display()))?;
-        }
-        file.flush()
-            .map_err(|e| format!("cannot flush corpus {}: {e}", self.path.display()))?;
+            .map_err(|e| format!("cannot open corpus {}: {e}", self.path.display()))?
+            .write_all(buf.as_bytes())
+            .map_err(|e| format!("cannot append to corpus {}: {e}", self.path.display()))?;
         Ok(records.len())
     }
 
@@ -260,12 +271,13 @@ impl Corpus {
 
 /// Builds the corpus records for one completed report.
 ///
-/// In-process reports carry full [`Violation`](crate::Violation)
-/// artefacts: each is
+/// In-process reports carry full [`Violation`] artefacts: each is
 /// minimized (the corpus stores root-cause-ready programs, not raw fuzzer
-/// output) and digested with its input pair. Wire-reduced reports carry
-/// digests only — those become digest-only records (empty program, no
-/// inputs), so a violating campaign always leaves a trace in the corpus.
+/// output) and digested with its input pair. Violations are minimised one
+/// program group at a time, sharing that group's memo, and the records
+/// come back in report order. Wire-reduced reports carry digests only —
+/// those become digest-only records (empty program, no inputs), so a
+/// violating campaign always leaves a trace in the corpus.
 pub fn records_from_report(report: &CampaignReport) -> Vec<CorpusRecord> {
     let cfg = &report.config;
     let context = |digest: ViolationDigest, program: String, removed: u64| CorpusRecord {
@@ -287,11 +299,34 @@ pub fn records_from_report(report: &CampaignReport) -> Vec<CorpusRecord> {
     }
     let mut executor = executor_for(cfg);
     let detector = Detector::new(LeakageModel::new(cfg.contract));
+    let mut groups: Vec<Vec<&Violation>> = Vec::new();
+    let mut group_of = Vec::with_capacity(report.violations.len());
+    for (violation, _) in &report.violations {
+        let group = match groups
+            .iter()
+            .position(|g| g[0].program == violation.program)
+        {
+            Some(group) => group,
+            None => {
+                groups.push(Vec::new());
+                groups.len() - 1
+            }
+        };
+        groups[group].push(violation);
+        group_of.push(group);
+    }
+    // Each group's results come in its own order, which is report order
+    // restricted to the group.
+    let mut minimized: Vec<std::vec::IntoIter<Minimized>> = groups
+        .iter()
+        .map(|group| minimize_program(group, &detector, &mut executor).into_iter())
+        .collect();
     report
         .violations
         .iter()
-        .map(|(violation, class)| {
-            let min = minimize(violation, &detector, &mut executor);
+        .zip(group_of)
+        .map(|((violation, class), group)| {
+            let min = minimized[group].next().expect("one result per violation");
             let digest = ViolationDigest::of(violation, *class);
             CorpusRecord {
                 program: min.program.to_string(),
@@ -384,6 +419,39 @@ mod tests {
         );
         assert_eq!(reopened.query(None, Some("STT")).unwrap(), vec![v4.clone()]);
         assert_eq!(reopened.query(Some("nope"), None).unwrap(), Vec::new());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Two appenders racing on one file never interleave inside a line:
+    /// every record of both comes back whole.
+    #[test]
+    fn concurrent_appends_keep_every_record_whole() {
+        let path = std::env::temp_dir().join(format!(
+            "amulet_corpus_race_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        std::thread::scope(|s| {
+            for writer in 0..2u64 {
+                let corpus = Corpus::open(&path);
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let rec = sample_record(writer * 1000 + i, ViolationClass::SpectreV1);
+                        corpus.append(&[rec]).unwrap();
+                    }
+                });
+            }
+        });
+        let mut seeds: Vec<u64> = Corpus::open(&path)
+            .load()
+            .unwrap()
+            .iter()
+            .map(|r| r.seed)
+            .collect();
+        seeds.sort_unstable();
+        let expected: Vec<u64> = (0..200).chain(1000..1200).collect();
+        assert_eq!(seeds, expected);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -253,6 +253,26 @@ impl Executor {
         self.run_inner(flat, input, ctx.clone())
     }
 
+    /// [`Executor::run_case_with_ctx`] reduced to its trace digest: the
+    /// same computation as [`Executor::run_case_ctx`], started from `ctx`
+    /// instead of the current predictor state. Logging is off and nothing
+    /// is materialised — no debug log, snapshot, [`UTrace`] or context
+    /// clone — so digest equality stands in for `UTrace` equality wherever
+    /// only "do the traces differ" is asked (the minimiser's greedy check).
+    pub fn replay_digest(
+        &mut self,
+        flat: &SharedProgram,
+        input: &TestInput,
+        ctx: &UarchContext,
+    ) -> u64 {
+        self.sim.set_context(ctx);
+        self.reset_caches();
+        self.sim.set_log_mode(LogMode::Off);
+        self.sim.load_test_shared(flat, input);
+        self.sim.run();
+        self.sim.trace_digest(self.digest_kind())
+    }
+
     fn digest_kind(&self) -> amulet_sim::DigestKind {
         match self.cfg.format {
             TraceFormat::L1dTlb => amulet_sim::DigestKind::L1dTlb {
@@ -447,6 +467,99 @@ mod tests {
         let flat = parse_program(src).unwrap().flatten_shared();
         let run = ex.run_case_traced(&flat, &TestInput::zeroed(128));
         assert!(run.utrace.l1d.contains(&(0x4000 + 8192)));
+    }
+
+    /// A digest replay depends on its context and input only, answers "do
+    /// the traces differ" exactly as the logged validation re-run does,
+    /// records no events, and leaves no state behind that a following
+    /// validation re-run could observe.
+    #[test]
+    fn digest_replay_agrees_with_logged_replay_and_leaves_no_trace() {
+        // A v1 shape: the load runs only speculatively when the JZ is
+        // predicted not-taken, so the predictor context decides the L1D.
+        let src = "
+            CMP RAX, 0
+            JZ .a
+            MOV RCX, qword ptr [R14 + RBX]
+            .a:
+            MOV RDX, qword ptr [R14 + 64]
+            EXIT";
+        let flat = parse_program(src).unwrap().flatten_shared();
+        let input = |rax: u64, rbx: u64| {
+            let mut input = TestInput::zeroed(1);
+            input.regs[0] = rax;
+            input.regs[1] = rbx;
+            input
+        };
+        let trained = |rax: u64| {
+            let mut ex = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
+            for _ in 0..12 {
+                ex.run_case(&flat, &input(rax, 0));
+            }
+            ex.context()
+        };
+        let contexts = [trained(0), trained(1)];
+        let inputs = [
+            input(0, 0x740),
+            input(0, 0x340),
+            input(0, 0x340),
+            input(1, 0x740),
+        ];
+
+        // `ex` carries its own, unrelated history into every replay.
+        let mut ex = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
+        let mut reference = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
+        let mut digests = Vec::new();
+        for ctx in &contexts {
+            let traced: Vec<UTrace> = inputs
+                .iter()
+                .map(|i| reference.run_case_with_ctx(&flat, i, ctx).utrace)
+                .collect();
+            let replayed: Vec<u64> = inputs
+                .iter()
+                .map(|i| {
+                    let digest = ex.replay_digest(&flat, i, ctx);
+                    assert!(ex.last_log().is_empty(), "a digest replay logs nothing");
+                    let fresh = Executor::new(ExecutorConfig::new(DefenseKind::Baseline))
+                        .replay_digest(&flat, i, ctx);
+                    assert_eq!(digest, fresh, "history must not reach a replay");
+                    digest
+                })
+                .collect();
+            for i in 0..inputs.len() {
+                for j in 0..inputs.len() {
+                    assert_eq!(
+                        replayed[i] == replayed[j],
+                        traced[i] == traced[j],
+                        "inputs {i} and {j}"
+                    );
+                }
+            }
+            digests.push(replayed);
+        }
+        assert_ne!(
+            digests[0][0], digests[1][0],
+            "the replay context must decide the speculative load"
+        );
+        assert_ne!(
+            digests[1][0], digests[1][1],
+            "the inputs must not all trace alike"
+        );
+
+        // A logged run, then a replay: the replay clears the log.
+        ex.run_case_with_ctx(&flat, &inputs[0], &contexts[1]);
+        assert!(!ex.last_log().is_empty());
+        ex.replay_digest(&flat, &inputs[1], &contexts[1]);
+        assert!(ex.last_log().is_empty());
+
+        // The validation re-run after a replay equals one on an executor
+        // that never replayed — trace, result and debug log alike.
+        let after = ex.run_case_with_ctx(&flat, &inputs[3], &contexts[1]);
+        let fresh = reference.run_case_with_ctx(&flat, &inputs[3], &contexts[1]);
+        assert_eq!(after.utrace, fresh.utrace);
+        assert_eq!(after.result.cycles, fresh.result.cycles);
+        assert_eq!(after.result.exit_cycle, fresh.result.exit_cycle);
+        assert_eq!(ex.last_log(), reference.last_log());
     }
 
     #[test]

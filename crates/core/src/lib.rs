@@ -86,7 +86,7 @@ pub use inputs::{boosted_inputs, boosted_inputs_into, InputGenConfig};
 pub use journal::{
     load_journal, CampaignJournal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir,
 };
-pub use minimize::{minimize, Minimized};
+pub use minimize::{minimize, minimize_program, Minimized};
 pub use proto::{CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION};
 pub use service::{Admission, Lease, LeaseWait, Service, ServiceEvent, SubmitOutcome};
 pub use shard::{

@@ -10,10 +10,40 @@
 //! is still a confirmed violation); best-effort in coverage (deleting an
 //! instruction shifts PCs, which can de-train the predictor context and
 //! block a reduction).
+//!
+//! # Cost
+//!
+//! The greedy check only asks whether the µarch traces *differ*, so its
+//! simulator runs are digest-only replays ([`Executor::replay_digest`]: no
+//! debug log, snapshot or materialised trace), and its contract traces
+//! reuse one [`ModelScratch`] per minimisation.
+//!
+//! Violations of one program mostly share their `(input_a, ctx_a)` side —
+//! the class representative and its starting context — so
+//! [`minimize_program`] minimises them together over one memo of that
+//! side. A memo key is `(candidate, input id, context id)`, where a
+//! candidate is the original program plus a deletion bitmask over its
+//! original instruction positions; a memo value holds only 64-bit digests
+//! (the shared side's µtrace digest and contract-trace digest). The memo
+//! lives for one program's violations and is dropped with them.
+//!
+//! # Exactness
+//!
+//! Every decision equals the plain greedy's, so the reduced program,
+//! `removed` and `attempts` are the same whether a violation is minimised
+//! alone or in a group. A memoised contract-trace digest may only *reject*
+//! a candidate (different digests mean different traces); an accepted
+//! deletion still compares the full contract traces of both inputs.
+//! µtrace digests stand in for trace equality exactly as in the detector's
+//! first pass (equal up to 64-bit hash collisions).
 
 use crate::detect::{Detector, Violation};
 use crate::executor::Executor;
-use amulet_isa::Program;
+use amulet_contracts::{CTrace, LeakageModel, ModelScratch};
+use amulet_isa::{Program, TestInput};
+use amulet_sim::UarchContext;
+use amulet_util::BitSet;
+use std::collections::HashMap;
 
 /// Result of a minimisation pass.
 #[derive(Debug, Clone)]
@@ -23,75 +53,185 @@ pub struct Minimized {
     pub program: Program,
     /// Instructions removed.
     pub removed: usize,
-    /// Reduction checks executed (2 simulator runs + 2 contract traces per
-    /// attempt).
+    /// Reduction checks decided, the unreduced program's included. A check
+    /// costs at most two contract traces and two digest-only simulator
+    /// runs, fewer when the memoised shared side answers part of it.
     pub attempts: usize,
 }
 
-/// Shrinks `violation.program` while preserving the violation.
+/// Shrinks `violation.program` while preserving the violation — the
+/// one-violation case of [`minimize_program`].
 ///
 /// The `executor` must be configured identically to the one that found the
 /// violation (same defense, trace format, and simulator config).
 pub fn minimize(violation: &Violation, detector: &Detector, executor: &mut Executor) -> Minimized {
-    let mut program = violation.program.clone();
-    let mut removed = 0usize;
-    let mut attempts = 0usize;
+    minimize_program(&[violation], detector, executor)
+        .pop()
+        .expect("one violation in, one result out")
+}
 
-    let still_violates = |p: &Program, executor: &mut Executor, attempts: &mut usize| -> bool {
-        *attempts += 1;
-        if p.validate().is_err() {
-            return false;
-        }
-        let flat = p.flatten_shared();
-        let model = detector.model();
-        if model.ctrace(&flat, &violation.input_a) != model.ctrace(&flat, &violation.input_b) {
-            return false;
-        }
-        let a = executor.run_case_with_ctx(&flat, &violation.input_a, &violation.ctx_a);
-        let b = executor.run_case_with_ctx(&flat, &violation.input_b, &violation.ctx_a);
-        a.utrace != b.utrace
+/// Minimises violations that share one program, in order, over one memo of
+/// their shared `(input_a, ctx_a)` side (see the module docs). Each result
+/// equals what [`minimize`] returns for that violation alone.
+///
+/// # Panics
+///
+/// Panics if the violations do not all carry the same program.
+pub fn minimize_program(
+    violations: &[&Violation],
+    detector: &Detector,
+    executor: &mut Executor,
+) -> Vec<Minimized> {
+    let Some(first) = violations.first() else {
+        return Vec::new();
     };
+    assert!(
+        violations.iter().all(|v| v.program == first.program),
+        "minimize_program: every violation must carry the same program"
+    );
+    let mut shrinker = Shrinker {
+        original: &first.program,
+        positions: first.program.len(),
+        model: detector.model(),
+        scratch: ModelScratch::new(),
+        memo: HashMap::new(),
+    };
+    let mut inputs: Vec<&TestInput> = Vec::new();
+    let mut ctxs: Vec<&UarchContext> = Vec::new();
+    violations
+        .iter()
+        .map(|v| {
+            let side = (intern(&mut inputs, &v.input_a), intern(&mut ctxs, &v.ctx_a));
+            shrinker.minimize(v, side, executor)
+        })
+        .collect()
+}
 
-    // The violation must reproduce before we start shrinking; otherwise
-    // return it untouched (e.g. executor configured differently).
-    if !still_violates(&program, executor, &mut attempts) {
-        return Minimized {
-            program,
-            removed: 0,
-            attempts,
-        };
-    }
+/// The id of `item` among the distinct values seen so far.
+fn intern<'a, T: PartialEq>(seen: &mut Vec<&'a T>, item: &'a T) -> u32 {
+    let id = match seen.iter().position(|s| *s == item) {
+        Some(id) => id,
+        None => {
+            seen.push(item);
+            seen.len() - 1
+        }
+    };
+    id as u32
+}
 
-    loop {
-        let mut changed = false;
-        'scan: for bi in 0..program.blocks.len() {
-            for ii in 0..program.blocks[bi].instrs.len() {
-                let mut candidate = program.clone();
-                candidate.blocks[bi].instrs.remove(ii);
-                if still_violates(&candidate, executor, &mut attempts) {
-                    program = candidate;
+/// Memoised digests of one candidate's shared side, filled lazily.
+#[derive(Default)]
+struct SideDigests {
+    ctrace: Option<u64>,
+    utrace: Option<u64>,
+}
+
+/// The greedy over one program: deletion bitmasks over `original`.
+struct Shrinker<'p> {
+    original: &'p Program,
+    positions: usize,
+    model: &'p LeakageModel,
+    scratch: ModelScratch,
+    /// Keyed on (deletions, input id, context id).
+    memo: HashMap<(BitSet, u32, u32), SideDigests>,
+}
+
+impl Shrinker<'_> {
+    fn minimize(&mut self, v: &Violation, side: (u32, u32), executor: &mut Executor) -> Minimized {
+        let mut deleted = BitSet::new();
+        let mut attempts = 1;
+        // The violation must reproduce before we start shrinking; otherwise
+        // return it untouched (e.g. executor configured differently).
+        if !self.still_violates(&deleted, v, side, executor) {
+            return Minimized {
+                program: self.original.clone(),
+                removed: 0,
+                attempts,
+            };
+        }
+        let mut removed = 0;
+        loop {
+            let mut changed = false;
+            // Original positions in order, skipping deleted ones: the
+            // current program's (block, instruction) scan order.
+            for pos in (0..self.positions).filter(|&p| !deleted.contains(p)) {
+                let mut candidate = deleted.clone();
+                candidate.insert(pos);
+                attempts += 1;
+                if self.still_violates(&candidate, v, side, executor) {
+                    deleted = candidate;
                     removed += 1;
                     changed = true;
-                    break 'scan; // indices shifted; rescan from the top
+                    break; // rescan from the top
                 }
             }
+            if !changed {
+                break;
+            }
         }
-        if !changed {
-            break;
+        Minimized {
+            program: with_deletions(self.original, &deleted),
+            removed,
+            attempts,
         }
     }
-    Minimized {
-        program,
-        removed,
-        attempts,
+
+    fn still_violates(
+        &mut self,
+        deleted: &BitSet,
+        v: &Violation,
+        side: (u32, u32),
+        executor: &mut Executor,
+    ) -> bool {
+        let program = with_deletions(self.original, deleted);
+        if program.validate().is_err() {
+            return false;
+        }
+        let flat = program.flatten_shared();
+        let memo = self
+            .memo
+            .entry((deleted.clone(), side.0, side.1))
+            .or_default();
+        let mut ctrace_a: Option<CTrace> = None;
+        let digest_a = *memo.ctrace.get_or_insert_with(|| {
+            ctrace_a
+                .insert(self.model.ctrace_with(&flat, &v.input_a, &mut self.scratch))
+                .digest()
+        });
+        let ctrace_b = self.model.ctrace_with(&flat, &v.input_b, &mut self.scratch);
+        if ctrace_b.digest() != digest_a {
+            return false;
+        }
+        let ctrace_a = ctrace_a
+            .unwrap_or_else(|| self.model.ctrace_with(&flat, &v.input_a, &mut self.scratch));
+        if ctrace_a != ctrace_b {
+            return false;
+        }
+        let utrace_a = *memo
+            .utrace
+            .get_or_insert_with(|| executor.replay_digest(&flat, &v.input_a, &v.ctx_a));
+        executor.replay_digest(&flat, &v.input_b, &v.ctx_a) != utrace_a
     }
+}
+
+/// `original` without the instructions at the `deleted` positions.
+fn with_deletions(original: &Program, deleted: &BitSet) -> Program {
+    let mut program = original.clone();
+    let mut pos = 0;
+    for block in &mut program.blocks {
+        block.instrs.retain(|_| {
+            pos += 1;
+            !deleted.contains(pos - 1)
+        });
+    }
+    program
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::ExecutorConfig;
-    use amulet_contracts::{ContractKind, LeakageModel};
+    use amulet_contracts::ContractKind;
     use amulet_defenses::gadgets;
     use amulet_defenses::DefenseKind;
     use amulet_isa::parse_program;

@@ -307,7 +307,8 @@ struct Inner {
 pub struct Service {
     inner: Mutex<Inner>,
     wake: Condvar,
-    corpus: Option<Corpus>,
+    /// Appends are serialised; minimisation runs outside the lock.
+    corpus: Option<Mutex<Corpus>>,
     state: Option<StateDir>,
     executed_total: AtomicU64,
 }
@@ -343,7 +344,7 @@ impl Service {
         Service {
             inner: Mutex::new(inner),
             wake: Condvar::new(),
-            corpus,
+            corpus: corpus.map(Mutex::new),
             state,
             executed_total: AtomicU64::new(0),
         }
@@ -915,7 +916,8 @@ impl Service {
         if let (Ok(report), Some(corpus)) = (&reduced, &self.corpus) {
             // Best-effort: a full disk must not fail the campaign, but the
             // operator should hear about it.
-            if let Err(e) = corpus.append(&records_from_report(report)) {
+            let records = records_from_report(report);
+            if let Err(e) = corpus.lock().unwrap().append(&records) {
                 eprintln!("corpus append failed: {e}");
             }
         }
