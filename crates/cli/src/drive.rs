@@ -50,22 +50,22 @@
 //!   left, or every slot's worker rejected the config at the hello
 //!   handshake, the service fails the campaign (its dead-fleet rule).
 //!
-//! Slots never send `cancel`: the service never leases a batch past the
-//! find-first hit (workers still honour it for external drivers). See
-//! `docs/DISTRIBUTED.md` for the operator-level picture.
+//! Find-first needs nothing from the worker: the service never leases a
+//! batch past the earliest hit. See `docs/DISTRIBUTED.md` for the
+//! operator-level picture.
 
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{FragmentReport, Msg, PROTO_VERSION};
 use amulet_core::{
     BatchSpec, CampaignConfig, CampaignReport, LeaseWait, Service, ServiceEvent, SubmitOutcome,
 };
-use amulet_util::{JsonObj, Xoshiro256};
+use amulet_util::{EventLog, Xoshiro256};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// How long an idle slot waits for a lease before housekeeping (closing
 /// sessions of finished campaigns, shutdown checks).
@@ -141,55 +141,6 @@ impl Default for DriveConfig {
             quarantine_after: 3,
             seed: 2025,
         }
-    }
-}
-
-/// The one structured JSONL event writer: `drive --events FILE` (the
-/// fleet flight recorder CI uploads) and the `serve` daemon's stderr.
-/// Every row is `event`, a dense monotonic `seq`, `t_s` (seconds since the
-/// log opened), then the event's own fields — so consumers can detect
-/// truncation and order rows even when `t_s` values collide.
-pub(crate) struct EventLog {
-    // The counter lives under the same lock as the writer so seq order
-    // and output order can never disagree across racing threads.
-    out: Option<Mutex<(u64, Box<dyn Write + Send>)>>,
-    start: Instant,
-}
-
-impl EventLog {
-    /// A log writing to `out`, or a no-op log.
-    pub(crate) fn new(out: Option<Box<dyn Write + Send>>) -> Self {
-        EventLog {
-            out: out.map(|w| Mutex::new((0, w))),
-            start: Instant::now(),
-        }
-    }
-
-    /// The process's stderr log — one `seq` across every session and slot
-    /// thread of a `serve` daemon.
-    pub(crate) fn stderr() -> &'static EventLog {
-        static LOG: OnceLock<EventLog> = OnceLock::new();
-        LOG.get_or_init(|| EventLog::new(Some(Box::new(std::io::stderr()))))
-    }
-
-    /// Writes one row (best-effort: logging never takes a campaign down).
-    pub(crate) fn emit(&self, event: &str, fields: impl FnOnce(JsonObj) -> JsonObj) {
-        let Some(out) = &self.out else { return };
-        let mut guard = out.lock().unwrap();
-        let (seq, w) = &mut *guard;
-        let mut line = fields(
-            JsonObj::new()
-                .str("event", event)
-                .int("seq", *seq)
-                .num("t_s", self.start.elapsed().as_secs_f64()),
-        )
-        .finish();
-        line.push('\n');
-        *seq += 1;
-        // One write per row, so rows never interleave with other stderr
-        // writers mid-line.
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.flush();
     }
 }
 
@@ -450,8 +401,7 @@ fn connect_checked<L: WorkerLink>(
 }
 
 /// One batch over a live link: heartbeat probe, assign the batch, await
-/// its fragment under the batch deadline. A skipped fragment is an error —
-/// slots never send cancel floors, so a skip means a confused peer.
+/// its fragment under the batch deadline.
 fn call_worker<L: WorkerLink>(
     link: &mut L,
     spec: &BatchSpec,
@@ -473,10 +423,10 @@ fn call_worker<L: WorkerLink>(
     }
     link.send(&Msg::Batch(*spec))?;
     match link.recv_timeout(drive.batch_timeout)? {
-        Some(Msg::Fragment(reply)) if reply.index == spec.index && !reply.skipped => Ok(reply),
+        Some(Msg::Fragment(reply)) if reply.index == spec.index => Ok(reply),
         Some(Msg::Fragment(reply)) => Err(format!(
-            "unusable fragment for batch {} (index {}, skipped {})",
-            spec.index, reply.index, reply.skipped
+            "fragment for batch {} answers index {}",
+            spec.index, reply.index
         )),
         Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
         None => Err(format!(
@@ -706,6 +656,7 @@ mod tests {
     use amulet_core::proto::Hello;
     use amulet_defenses::DefenseKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)

@@ -43,7 +43,7 @@
 //! can drive [`serve_client`] over in-memory pipes and prove the same
 //! properties the real-socket tests prove end-to-end.
 
-use crate::drive::{backoff_delay, run_slot, EventLog, LEASE_POLL};
+use crate::drive::{backoff_delay, run_slot, LEASE_POLL};
 use crate::net::{parse_connect_list, TcpLink};
 use crate::{Args, DriveConfig, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
@@ -51,7 +51,7 @@ use amulet_core::{
     run_batch, Admission, Corpus, LeaseWait, Service, ServiceEvent, ShardConfig, StateDir,
     SubmitOutcome, UnitRuntime,
 };
-use amulet_util::{JsonObj, Xoshiro256};
+use amulet_util::{EventLog, JsonObj, Xoshiro256};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;

@@ -11,19 +11,19 @@
 //! Two transports share the same loop ([`serve_session`]):
 //!
 //! - **pipes** (spawned by `amulet drive --procs`): protocol on
-//!   stdin/stdout, logs on stderr;
+//!   stdin/stdout, event rows on stderr;
 //! - **TCP** (`amulet worker --listen ADDR`): protocol on the socket,
-//!   structured JSON logs on stderr — see `crate::net::serve_listener`.
+//!   event rows on stderr — see `crate::net::serve_listener`.
 //!
 //! The loop is *tolerant*: a malformed or unexpected line is logged as a
-//! structured `error` event and skipped (the driver recovers via its own
-//! deadline), and a trailing partial line at EOF — a driver that died
-//! mid-frame — ends the session cleanly instead of poisoning it.
+//! structured `worker_error` event and skipped (the driver recovers via
+//! its own deadline), and a trailing partial line at EOF — a driver that
+//! died mid-frame — ends the session cleanly instead of poisoning it.
 
 use crate::{Args, ShapeOptions};
 use amulet_core::proto::{FragmentReport, Hello, Msg};
 use amulet_core::{run_batch, CampaignConfig, UnitRuntime};
-use amulet_util::JsonObj;
+use amulet_util::EventLog;
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
@@ -33,8 +33,6 @@ use std::time::Instant;
 pub struct SessionStats {
     /// Batches executed.
     pub batches: usize,
-    /// Batches answered as skipped (past the cancel floor).
-    pub skipped: usize,
     /// Heartbeats answered.
     pub pings: usize,
     /// Malformed or unexpected input lines tolerated.
@@ -43,26 +41,21 @@ pub struct SessionStats {
 
 /// Serves one worker session: hello, then batch → fragment until
 /// `shutdown` or EOF, answering `ping` heartbeats between batches.
-/// Structured JSON log events (`worker_error`, `worker_eof_truncated`,
+/// Structured event rows (`worker_error`, `worker_eof_truncated`,
 /// `worker_idle_timeout`) go to `log`; only an unwritable *output* is a
 /// hard error (the driver is gone and taking its deadline with it).
 ///
-/// Find-first semantics: a [`Msg::Cancel`] lowers the worker's cancel
-/// floor; a later batch assignment *above* the floor is answered with a
-/// skipped fragment (zero work) instead of being executed. This can never
-/// change the reduced result — the floor only ever holds indices with
-/// confirmed violations, so every skipped index lies strictly past the
-/// final earliest hit, in the suffix the reducer discards anyway.
+/// Every assigned batch is executed: find-first campaigns stop at their
+/// earliest hit because the lease source never assigns a batch past it.
 pub fn serve_session(
     cfg: &CampaignConfig,
     mut input: impl BufRead,
     mut out: impl Write,
-    log: &mut impl Write,
+    log: &EventLog,
 ) -> Result<SessionStats, String> {
     send(&mut out, &Msg::Hello(Hello::for_config(cfg)))?;
     let anchor = Instant::now();
     let mut rt = UnitRuntime::new();
-    let mut cancel_floor = usize::MAX;
     let mut stats = SessionStats::default();
     let mut line = String::new();
     loop {
@@ -73,7 +66,7 @@ pub fn serve_session(
                 // A trailing partial line: the driver died mid-frame.
                 // Tolerate it — the frame is unusable but the session
                 // ended, which is all it means.
-                log_event(log, "worker_eof_truncated", |o| {
+                log.emit("worker_eof_truncated", |o| {
                     o.int("bytes", line.len() as u64)
                 });
                 stats.malformed += 1;
@@ -89,7 +82,7 @@ pub fn serve_session(
                 // The listener's per-session idle deadline (SO_RCVTIMEO)
                 // expired: end the session so the listener can accept a
                 // fresh connection.
-                log_event(log, "worker_idle_timeout", |o| o);
+                log.emit("worker_idle_timeout", |o| o);
                 break;
             }
             Err(e) => return Err(format!("worker: read failed: {e}")),
@@ -103,7 +96,7 @@ pub fn serve_session(
                 // Garbage on the wire (a truncated or corrupted frame).
                 // Skip it — the driver's deadline, not our exit, handles
                 // the lost message.
-                log_event(log, "worker_error", |o| {
+                log.emit("worker_error", |o| {
                     o.str("error", &e).int("line_bytes", line.len() as u64)
                 });
                 stats.malformed += 1;
@@ -116,21 +109,18 @@ pub fn serve_session(
                 send(&mut out, &Msg::Pong { token })?;
             }
             Msg::Batch(spec) => {
-                let reply = if cfg.stop_on_first && spec.index > cancel_floor {
-                    stats.skipped += 1;
-                    FragmentReport::skipped(spec.index)
-                } else {
-                    stats.batches += 1;
-                    FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, &mut rt))
-                };
-                send(&mut out, &Msg::Fragment(reply))?;
+                stats.batches += 1;
+                let frag = run_batch(cfg, &spec, anchor, &mut rt);
+                send(
+                    &mut out,
+                    &Msg::Fragment(FragmentReport::from_fragment(&frag)),
+                )?;
             }
-            Msg::Cancel { earliest } => cancel_floor = cancel_floor.min(earliest),
             Msg::Shutdown => break,
             other => {
                 // Valid protocol, wrong direction (a hello or fragment
                 // echoed back at us): log and keep serving.
-                log_event(log, "worker_error", |o| {
+                log.emit("worker_error", |o| {
                     o.str(
                         "error",
                         &format!("unexpected {:?} message from driver", other.tag()),
@@ -144,8 +134,8 @@ pub fn serve_session(
 }
 
 /// Serves one worker session and discards the stats — the stable
-/// entry point the in-memory tests and pipe transport use. Logs go to
-/// stderr.
+/// entry point the in-memory tests and pipe transport use. Event rows go
+/// to the process's stderr [`EventLog`].
 ///
 /// # Examples
 ///
@@ -171,14 +161,14 @@ pub fn serve_session(
 ///     .map(|l| Msg::parse_line(l).unwrap())
 ///     .collect();
 /// assert!(matches!(lines[0], Msg::Hello(_)));
-/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && !f.skipped));
+/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && f.stats.cases > 0));
 /// ```
 pub fn serve_worker(
     cfg: &CampaignConfig,
     input: impl BufRead,
     out: impl Write,
 ) -> Result<(), String> {
-    serve_session(cfg, input, out, &mut std::io::stderr()).map(|_| ())
+    serve_session(cfg, input, out, EventLog::stderr()).map(|_| ())
 }
 
 /// Writes one protocol line and flushes — every message must reach the
@@ -189,31 +179,15 @@ fn send(out: &mut impl Write, msg: &Msg) -> Result<(), String> {
         .map_err(|e| format!("worker: write failed: {e}"))
 }
 
-/// One structured JSON log line (best-effort — logging must never take a
-/// session down).
-fn log_event(log: &mut impl Write, event: &str, detail: impl FnOnce(JsonObj) -> JsonObj) {
-    let line = detail(JsonObj::new().str("event", event)).finish();
-    let _ = writeln!(log, "{line}");
-    let _ = log.flush();
-}
-
 /// `amulet worker`.
 pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
-    let shape = ShapeOptions::parse(&mut args)?;
+    let cfg = ShapeOptions::parse(&mut args)?.config();
     let listen = args.value("--listen")?;
     let sessions = args.parsed::<usize>("--sessions")?.unwrap_or(0);
     let idle_s = args.parsed::<f64>("--idle-timeout-s")?;
     args.finish()?;
-    let cfg = shape.config();
     match listen {
         Some(addr) => {
-            eprintln!(
-                "worker {}: listening on {addr}, serving {} × {} (seed {})",
-                std::process::id(),
-                shape.defense.name(),
-                shape.contract.name(),
-                cfg.seed
-            );
             let idle_timeout = match idle_s {
                 None => None,
                 Some(s) if s.is_finite() && s > 0.0 => Some(std::time::Duration::from_secs_f64(s)),
@@ -234,13 +208,12 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
             if sessions != 0 || idle_s.is_some() {
                 return Err("--sessions/--idle-timeout-s require --listen".into());
             }
-            eprintln!(
-                "worker {}: serving {} × {} (seed {})",
-                std::process::id(),
-                shape.defense.name(),
-                shape.contract.name(),
-                cfg.seed
-            );
+            EventLog::stderr().emit("worker_start", |o| {
+                o.int("pid", u64::from(std::process::id()))
+                    .str("defense", cfg.defense.name())
+                    .str("contract", cfg.contract.name())
+                    .str("seed", &cfg.seed.to_string())
+            });
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             serve_worker(&cfg, stdin.lock(), stdout.lock())
@@ -254,17 +227,35 @@ mod tests {
     use amulet_contracts::ContractKind;
     use amulet_core::BatchSpec;
     use amulet_defenses::DefenseKind;
+    use amulet_util::{parse_json, JsonValue};
+    use std::sync::{Arc, Mutex};
+
+    /// An event-log sink the test can read back.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn session_raw(cfg: &CampaignConfig, input: &str) -> (Vec<Msg>, SessionStats, String) {
         let mut out = Vec::new();
-        let mut log = Vec::new();
-        let stats = serve_session(cfg, input.as_bytes(), &mut out, &mut log).unwrap();
+        let log = Shared::default();
+        let events = EventLog::new(Some(Box::new(log.clone())));
+        let stats = serve_session(cfg, input.as_bytes(), &mut out, &events).unwrap();
         let replies = String::from_utf8(out)
             .unwrap()
             .lines()
             .map(|l| Msg::parse_line(l).unwrap())
             .collect();
-        (replies, stats, String::from_utf8(log).unwrap())
+        let log = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
+        (replies, stats, log)
     }
 
     fn session(cfg: &CampaignConfig, script: &[Msg]) -> Vec<Msg> {
@@ -300,7 +291,6 @@ mod tests {
                 panic!("expected fragment")
             };
             assert_eq!(f.index, i);
-            assert!(!f.skipped);
             assert!(f.stats.cases > 0);
         }
     }
@@ -321,37 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_floor_skips_later_batches_in_find_first_mode() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 8;
-        cfg.stop_on_first = true;
-        let spec = |index| BatchSpec {
-            index,
-            instance: 0,
-            batch: index,
-            programs: 1,
-        };
-        let replies = session(
-            &cfg,
-            &[
-                Msg::Cancel { earliest: 2 },
-                Msg::Batch(spec(2)), // at the floor: executes
-                Msg::Batch(spec(5)), // past the floor: skipped
-                Msg::Shutdown,
-            ],
-        );
-        let Msg::Fragment(at_floor) = &replies[1] else {
-            panic!()
-        };
-        let Msg::Fragment(past) = &replies[2] else {
-            panic!()
-        };
-        assert!(!at_floor.skipped && at_floor.stats.cases > 0);
-        assert!(past.skipped && past.stats.cases == 0);
-    }
-
-    #[test]
     fn eof_without_shutdown_is_a_clean_exit() {
         let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
         let (replies, stats, _) = session_raw(&cfg, "");
@@ -359,10 +318,11 @@ mod tests {
         assert_eq!(stats, SessionStats::default());
     }
 
-    /// The malformed-input satellite: garbage and wrong-direction lines
-    /// are logged as structured `worker_error` events and skipped, and a
-    /// trailing partial line at EOF ends the session cleanly — the worker
-    /// keeps serving through everything else.
+    /// Garbage and wrong-direction lines are logged as structured
+    /// `worker_error` events and skipped, and a trailing partial line at
+    /// EOF ends the session cleanly — the worker keeps serving through
+    /// everything else. Every row is an `EventLog` row: a dense `seq` from
+    /// zero and a `t_s`.
     #[test]
     fn malformed_lines_are_logged_and_tolerated() {
         let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
@@ -383,7 +343,7 @@ mod tests {
         let (replies, stats, log) = session_raw(&cfg, &input);
         assert!(matches!(replies[0], Msg::Hello(_)));
         assert!(
-            matches!(&replies[1], Msg::Fragment(f) if f.index == 0 && !f.skipped),
+            matches!(&replies[1], Msg::Fragment(f) if f.index == 0 && f.stats.cases > 0),
             "the batch after the garbage still executed"
         );
         assert_eq!(stats.batches, 1);
@@ -401,8 +361,18 @@ mod tests {
             1,
             "{log}"
         );
-        for line in log.lines() {
-            amulet_util::parse_json(line).expect("log lines are valid JSON");
+        for (n, line) in log.lines().enumerate() {
+            let row = parse_json(line).expect("log lines are valid JSON");
+            let JsonValue::Obj(fields) = &row else {
+                panic!("not an object: {line}")
+            };
+            let keys: Vec<&str> = fields.iter().take(3).map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["event", "seq", "t_s"], "{line}");
+            assert_eq!(row.get("seq").and_then(JsonValue::as_u64), Some(n as u64));
+            assert!(
+                row.get("t_s").and_then(JsonValue::as_f64).is_some(),
+                "{line}"
+            );
         }
     }
 }

@@ -43,7 +43,7 @@ use crate::minimize::{minimize_program, Minimized};
 use crate::proto::{hex_arr_field, hex_u64, str_field, u64_field, violation_from_json};
 use amulet_contracts::LeakageModel;
 use amulet_isa::TestInput;
-use amulet_util::json::{parse_json, JsonObj, JsonValue};
+use amulet_util::json::{parse_json, EventLog, JsonObj, JsonValue};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -238,13 +238,10 @@ impl Corpus {
             match CorpusRecord::parse_line(line) {
                 Ok(rec) => out.push(rec),
                 Err(_) if torn_tail && n + 1 == total_lines => {
-                    crate::journal::warn_note(
-                        "corpus_torn_tail",
-                        &[
-                            ("path", &self.path.display().to_string()),
-                            ("line", &(n + 1).to_string()),
-                        ],
-                    );
+                    EventLog::stderr().emit("corpus_torn_tail", |o| {
+                        o.str("path", &self.path.display().to_string())
+                            .str("line", &(n + 1).to_string())
+                    });
                 }
                 Err(e) => return Err(format!("corpus line {}: {e}", n + 1)),
             }

@@ -42,7 +42,7 @@
 
 use crate::campaign::Fnv1a;
 use crate::proto::{str_field, u64_field, CampaignSpec, FragmentReport, Msg, ResultMsg};
-use amulet_util::json::{parse_json, JsonObj};
+use amulet_util::json::{parse_json, EventLog, JsonObj};
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -52,17 +52,6 @@ pub const CACHE_FILE: &str = "cache.jsonl";
 
 /// The identity marker on every journal header line.
 const JOURNAL_MARKER: &str = "amulet-campaign";
-
-/// Emits a structured JSON note on stderr — the daemon's warn channel for
-/// recoverable persistence trouble (torn tails, unusable journals, failed
-/// appends). One object per line, discriminated by `"event"`.
-pub(crate) fn warn_note(event: &str, fields: &[(&str, &str)]) {
-    let mut obj = JsonObj::new().str("event", event);
-    for (k, v) in fields {
-        obj = obj.str(k, v);
-    }
-    eprintln!("{}", obj.finish());
-}
 
 /// The first line of a campaign journal: the campaign's identity
 /// ([`CampaignSpec::cache_key`]) and batch-plan size, so a replay can
@@ -279,9 +268,10 @@ pub struct JournalReplay {
 ///   prefix (a torn trailing line is skipped with a stderr note);
 /// - a torn *header* (crash before the first full line) → `Ok(None)` with
 ///   a note: the journal recorded nothing usable;
-/// - anything else — wrong identity, interior corruption, out-of-plan or
-///   skipped fragments — is an error, and the caller must recompute from
-///   scratch rather than trust the file.
+/// - anything else — wrong identity, interior corruption (a line
+///   [`Msg::parse_line`] refuses, such as a never-executed skipped
+///   fragment), out-of-plan fragments — is an error, and the caller must
+///   recompute from scratch rather than trust the file.
 pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalReplay>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -298,7 +288,7 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
         // The header write itself was torn — even a parseable line is not
         // trusted without its newline, because every later append assumes a
         // newline-terminated prefix. Nothing was journaled; start over.
-        warn_note("journal_torn_header", &[("path", shown.as_str())]);
+        EventLog::stderr().emit("journal_torn_header", |o| o.str("path", &shown));
         return Ok(None);
     }
     let mut lines = text.lines().enumerate();
@@ -324,10 +314,9 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
             // deterministically instead.
             skipped_torn = true;
             valid_len = (text.len() - line.len()) as u64;
-            warn_note(
-                "journal_torn_tail",
-                &[("path", shown.as_str()), ("line", &(n + 1).to_string())],
-            );
+            EventLog::stderr().emit("journal_torn_tail", |o| {
+                o.str("path", &shown).str("line", &(n + 1).to_string())
+            });
             continue;
         }
         if line.trim().is_empty() {
@@ -335,12 +324,6 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
         }
         match Msg::parse_line(line) {
             Ok(Msg::Fragment(frag)) => {
-                if frag.skipped {
-                    return Err(format!(
-                        "journal {shown}: line {}: skipped fragment was never executed",
-                        n + 1
-                    ));
-                }
                 if frag.index as u64 >= header.total_batches {
                     return Err(format!(
                         "journal {shown}: line {}: batch index {} outside the {}-batch plan",
@@ -352,10 +335,9 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
                 if seen.insert(frag.index) {
                     fragments.push(frag);
                 } else {
-                    warn_note(
-                        "journal_duplicate_fragment",
-                        &[("path", shown.as_str()), ("index", &frag.index.to_string())],
-                    );
+                    EventLog::stderr().emit("journal_duplicate_fragment", |o| {
+                        o.str("path", &shown).str("index", &frag.index.to_string())
+                    });
                 }
             }
             Ok(other) => {
@@ -484,10 +466,9 @@ impl StateDir {
                 // Crash mid-append: the unterminated final line is dropped
                 // even when it parses — its campaign simply recomputes (or
                 // resumes from its still-present journal).
-                warn_note(
-                    "cache_torn_tail",
-                    &[("path", shown.as_str()), ("line", &(n + 1).to_string())],
-                );
+                EventLog::stderr().emit("cache_torn_tail", |o| {
+                    o.str("path", &shown).str("line", &(n + 1).to_string())
+                });
                 continue;
             }
             if line.trim().is_empty() {
@@ -528,10 +509,9 @@ impl StateDir {
                 }
                 Ok(_) => recovery.resumable += 1,
                 Err(e) => {
-                    warn_note(
-                        "journal_unreadable",
-                        &[("path", shown.as_str()), ("error", e.as_str())],
-                    );
+                    EventLog::stderr().emit("journal_unreadable", |o| {
+                        o.str("path", &shown).str("error", &e)
+                    });
                     recovery.corrupt += 1;
                 }
             }
@@ -587,7 +567,6 @@ mod tests {
     fn sample_fragment(index: usize) -> FragmentReport {
         FragmentReport {
             index,
-            skipped: false,
             stats: ScanStats {
                 cases: 84 + index,
                 classes: 12,

@@ -14,7 +14,6 @@
 //! worker → driver   {"type":"hello", ...}        once, on startup (version + config echo)
 //! driver → worker   {"type":"ping", ...}         liveness probe (heartbeat)
 //! worker → driver   {"type":"pong", ...}         probe echo (same token)
-//! driver → worker   {"type":"cancel", ...}       find-first broadcast (optional)
 //! driver → worker   {"type":"batch", ...}        one assignment
 //! worker → driver   {"type":"fragment", ...}     the assignment's result
 //! driver → worker   {"type":"shutdown"}          end of plan; worker exits
@@ -45,7 +44,7 @@
 //! Every message type survives serialise → parse unchanged:
 //!
 //! ```
-//! use amulet_core::proto::{FragmentReport, Msg};
+//! use amulet_core::proto::Msg;
 //! use amulet_core::shard::BatchSpec;
 //!
 //! let batch = Msg::Batch(BatchSpec { index: 7, instance: 1, batch: 3, programs: 4 });
@@ -53,8 +52,8 @@
 //! assert!(line.starts_with(r#"{"type":"batch""#));
 //! assert_eq!(Msg::parse_line(&line).unwrap(), batch);
 //!
-//! let frag = Msg::Fragment(FragmentReport::skipped(9));
-//! assert_eq!(Msg::parse_line(&frag.to_line()).unwrap(), frag);
+//! let pong = Msg::Pong { token: 9 };
+//! assert_eq!(Msg::parse_line(&pong.to_line()).unwrap(), pong);
 //! ```
 
 use crate::analyze::ViolationClass;
@@ -89,7 +88,14 @@ use std::time::Duration;
 /// gracefully: no new campaigns are admitted, in-flight work is finished
 /// or journal-checkpointed). Neither carries campaign state, so neither
 /// can perturb a fingerprint.
-pub const PROTO_VERSION: u64 = 5;
+///
+/// Version 6 removed the worker-side find-first path: the `cancel`
+/// message and the fragment's `skipped` field. The lease source never
+/// assigns a batch past the earliest hit, so a worker executes every batch
+/// it is given. The parser still accepts `"skipped":false`, so pre-v6
+/// journals and transcripts load; it rejects `"skipped":true`, a fragment
+/// that was never executed.
+pub const PROTO_VERSION: u64 = 6;
 
 /// The worker's startup announcement: protocol version plus an echo of the
 /// campaign identity it resolved from its command line, so a driver/worker
@@ -176,11 +182,6 @@ impl Hello {
 pub struct FragmentReport {
     /// Global batch index this fragment answers.
     pub index: usize,
-    /// True when the worker skipped execution because the batch index lies
-    /// past a received [`Msg::Cancel`] floor. Skipped fragments carry zero
-    /// stats and are always past the earliest hit, so the reducer drops
-    /// them with the rest of the post-hit suffix.
-    pub skipped: bool,
     /// Detector counters for this batch.
     pub stats: ScanStats,
     /// Seconds from the worker's anchor to the batch's first confirmation.
@@ -194,21 +195,9 @@ impl FragmentReport {
     pub fn from_fragment(frag: &Fragment) -> Self {
         FragmentReport {
             index: frag.index,
-            skipped: false,
             stats: frag.stats,
             first_detection_s: frag.first_detection.map(|d| d.as_secs_f64()),
             violations: frag.digests.clone(),
-        }
-    }
-
-    /// A skipped-batch acknowledgement (see [`FragmentReport::skipped`]).
-    pub fn skipped(index: usize) -> Self {
-        FragmentReport {
-            index,
-            skipped: true,
-            stats: ScanStats::default(),
-            first_detection_s: None,
-            violations: Vec::new(),
         }
     }
 
@@ -424,13 +413,6 @@ pub enum Msg {
     },
     /// Driver → worker: execute this batch and answer with a fragment.
     Batch(BatchSpec),
-    /// Driver → worker: a violation was confirmed in batch `earliest`;
-    /// batches with a greater index may be answered with a skipped
-    /// fragment.
-    Cancel {
-        /// Earliest batch index with a confirmed violation so far.
-        earliest: usize,
-    },
     /// Driver → worker: no more batches; exit cleanly.
     Shutdown,
     /// Worker → driver: one batch's results.
@@ -504,12 +486,11 @@ impl Msg {
     /// Every `"type"` tag the protocol emits, in flow order. The operator's
     /// handbook (`docs/DISTRIBUTED.md`) documents exactly this set — a test
     /// asserts the two never drift apart.
-    pub const TAGS: [&'static str; 15] = [
+    pub const TAGS: [&'static str; 14] = [
         "hello",
         "ping",
         "pong",
         "batch",
-        "cancel",
         "shutdown",
         "fragment",
         "submit",
@@ -529,7 +510,6 @@ impl Msg {
             Msg::Ping { .. } => "ping",
             Msg::Pong { .. } => "pong",
             Msg::Batch(_) => "batch",
-            Msg::Cancel { .. } => "cancel",
             Msg::Shutdown => "shutdown",
             Msg::Fragment(_) => "fragment",
             Msg::Submit(_) => "submit",
@@ -572,11 +552,10 @@ impl Msg {
                 .int("batch", b.batch as u64)
                 .int("programs", b.programs as u64)
                 .finish(),
-            Msg::Cancel { earliest } => obj.int("earliest", *earliest as u64).finish(),
             Msg::Shutdown => obj.finish(),
             Msg::Fragment(f) => {
-                let mut out = obj.int("index", f.index as u64).bool("skipped", f.skipped);
-                out = out
+                let mut out = obj
+                    .int("index", f.index as u64)
                     .int("cases", f.stats.cases as u64)
                     .int("classes", f.stats.classes as u64)
                     .int("candidates", f.stats.candidates as u64)
@@ -667,8 +646,8 @@ impl Msg {
     /// ```
     /// use amulet_core::proto::Msg;
     ///
-    /// let msg = Msg::parse_line(r#"{"type":"cancel","earliest":3}"#).unwrap();
-    /// assert_eq!(msg, Msg::Cancel { earliest: 3 });
+    /// let msg = Msg::parse_line(r#"{"type":"ping","token":3}"#).unwrap();
+    /// assert_eq!(msg, Msg::Ping { token: 3 });
     /// assert!(Msg::parse_line(r#"{"type":"warp"}"#).is_err());
     /// ```
     pub fn parse_line(line: &str) -> Result<Msg, String> {
@@ -699,9 +678,6 @@ impl Msg {
                 batch: usize_field(&v, "batch")?,
                 programs: usize_field(&v, "programs")?,
             })),
-            "cancel" => Ok(Msg::Cancel {
-                earliest: usize_field(&v, "earliest")?,
-            }),
             "shutdown" => Ok(Msg::Shutdown),
             "fragment" => {
                 let stats = ScanStats {
@@ -732,12 +708,15 @@ impl Msg {
                     }
                     other => other,
                 };
+                // Pre-v6 lines carry `"skipped":false`. A skipped fragment
+                // was never executed, so it is refused here — the one place
+                // that stands between such a line and a reducer.
+                match v.get("skipped") {
+                    None | Some(JsonValue::Bool(false)) => {}
+                    Some(_) => return Err("fragment: a skipped fragment is not a result".into()),
+                }
                 Ok(Msg::Fragment(FragmentReport {
                     index: usize_field(&v, "index")?,
-                    skipped: v
-                        .get("skipped")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
                     stats,
                     first_detection_s,
                     violations,
@@ -1052,11 +1031,9 @@ mod tests {
                 batch: 5,
                 programs: 4,
             }),
-            Msg::Cancel { earliest: 3 },
             Msg::Shutdown,
             Msg::Fragment(FragmentReport {
                 index: 11,
-                skipped: false,
                 stats: ScanStats {
                     cases: 112,
                     classes: 16,
@@ -1069,7 +1046,12 @@ mod tests {
                 first_detection_s: Some(0.015625),
                 violations: vec![sample_digest()],
             }),
-            Msg::Fragment(FragmentReport::skipped(42)),
+            Msg::Fragment(FragmentReport {
+                index: 42,
+                stats: ScanStats::default(),
+                first_detection_s: None,
+                violations: Vec::new(),
+            }),
             Msg::Submit(sample_spec()),
             Msg::Submit(CampaignSpec {
                 scale: Some(0.25),
@@ -1145,9 +1127,13 @@ mod tests {
                 batch: 0,
                 programs: 1,
             }),
-            Msg::Cancel { earliest: 0 },
             Msg::Shutdown,
-            Msg::Fragment(FragmentReport::skipped(0)),
+            Msg::Fragment(FragmentReport {
+                index: 0,
+                stats: ScanStats::default(),
+                first_detection_s: None,
+                violations: Vec::new(),
+            }),
             Msg::Submit(sample_spec()),
             Msg::Accepted {
                 campaign: 0,

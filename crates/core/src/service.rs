@@ -56,11 +56,10 @@
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::corpus::{records_from_report, Corpus};
-use crate::journal::{
-    load_journal, warn_note, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir,
-};
+use crate::journal::{load_journal, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir};
 use crate::proto::{CampaignSpec, FragmentReport, ReportWire, ResultMsg};
 use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, BatchSpec, Fragment};
+use amulet_util::EventLog;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -487,19 +486,17 @@ impl Service {
                 let replay = match load_journal(&path, key) {
                     Ok(Some(r)) if r.header.total_batches == total_batches => Some(r),
                     Ok(Some(r)) => {
-                        warn_note(
-                            "journal_plan_mismatch",
-                            &[
-                                ("key", key),
-                                ("journaled", &r.header.total_batches.to_string()),
-                                ("planned", &total_batches.to_string()),
-                            ],
-                        );
+                        EventLog::stderr().emit("journal_plan_mismatch", |o| {
+                            o.str("key", key)
+                                .str("journaled", &r.header.total_batches.to_string())
+                                .str("planned", &total_batches.to_string())
+                        });
                         None
                     }
                     Ok(None) => None,
                     Err(e) => {
-                        warn_note("journal_unusable", &[("key", key), ("error", e.as_str())]);
+                        EventLog::stderr()
+                            .emit("journal_unusable", |o| o.str("key", key).str("error", &e));
                         None
                     }
                 };
@@ -511,10 +508,9 @@ impl Service {
                     Ok(j) => journal = Some(j),
                     // Keep the replayed fragments even if the reopen failed:
                     // recovered work is valid work, it just won't extend.
-                    Err(e) => warn_note(
-                        "journal_open_failed",
-                        &[("key", key), ("error", e.as_str())],
-                    ),
+                    Err(e) => EventLog::stderr().emit("journal_open_failed", |o| {
+                        o.str("key", key).str("error", &e)
+                    }),
                 }
                 if let Some(r) = replay {
                     recovered_frags = r
@@ -847,13 +843,10 @@ impl Service {
         // suffix.
         if let Some(journal) = inner.journals.get_mut(&lease.campaign) {
             if let Err(e) = journal.append(&FragmentReport::from_fragment(&fragment)) {
-                warn_note(
-                    "journal_append_failed",
-                    &[
-                        ("campaign", &lease.campaign.to_string()),
-                        ("error", e.as_str()),
-                    ],
-                );
+                EventLog::stderr().emit("journal_append_failed", |o| {
+                    o.str("campaign", &lease.campaign.to_string())
+                        .str("error", &e)
+                });
                 inner.journals.remove(&lease.campaign);
             }
         }
@@ -918,7 +911,7 @@ impl Service {
             // operator should hear about it.
             let records = records_from_report(report);
             if let Err(e) = corpus.lock().unwrap().append(&records) {
-                eprintln!("corpus append failed: {e}");
+                EventLog::stderr().emit("corpus_append_failed", |o| o.str("error", &e));
             }
         }
         let result = ResultMsg {
@@ -949,10 +942,9 @@ impl Service {
                             let _ = std::fs::remove_file(state.journal_path(&key));
                         }
                         Ok(()) => {}
-                        Err(e) => warn_note(
-                            "cache_write_failed",
-                            &[("key", key.as_str()), ("error", e.as_str())],
-                        ),
+                        Err(e) => EventLog::stderr().emit("cache_write_failed", |o| {
+                            o.str("key", &key).str("error", &e)
+                        }),
                     }
                 }
                 inner.cache.insert(key, result.clone());

@@ -1,11 +1,11 @@
 //! Hand-rolled JSON: a tiny object writer and a tiny parser.
 //!
 //! The workspace is dependency-free, so its JSONL surfaces — the CLI's
-//! report lines and the multi-process wire protocol
-//! (`amulet_core::proto`) — are built on this module instead of a
+//! report lines, the multi-process wire protocol (`amulet_core::proto`)
+//! and the structured event rows — are built on this module instead of a
 //! serialisation crate. The writer ([`JsonObj`]) emits one object per line;
-//! the parser ([`parse_json`]) reads one value back into a [`JsonValue`]
-//! tree.
+//! [`EventLog`] is the one writer of event rows; the parser
+//! ([`parse_json`]) reads one value back into a [`JsonValue`] tree.
 //!
 //! Two deliberate properties:
 //!
@@ -27,7 +27,7 @@
 //! let line = JsonObj::new()
 //!     .str("type", "fragment")
 //!     .int("index", 3)
-//!     .bool("skipped", false)
+//!     .bool("cached", false)
 //!     .finish();
 //! let v = parse_json(&line).unwrap();
 //! assert_eq!(v.get("type").and_then(JsonValue::as_str), Some("fragment"));
@@ -35,6 +35,9 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::io::Write;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Minimal JSON object writer (strings, numbers, booleans, raw nested
 /// values) — enough for report lines and wire messages without a
@@ -129,6 +132,66 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// The one structured JSONL event writer: the worker, listener, driver,
+/// daemon and persistence rows on stderr, and `drive --events FILE`. Every
+/// row is `event`, a dense monotonic `seq`, `t_s` (seconds since the log
+/// opened), then the event's own fields — so consumers can detect
+/// truncation and order rows even when `t_s` values collide.
+///
+/// # Examples
+///
+/// ```
+/// use amulet_util::json::EventLog;
+///
+/// EventLog::new(None).emit("ignored", |o| o.int("n", 1)); // a no-op log
+/// EventLog::stderr().emit("listening", |o| o.str("addr", "127.0.0.1:7711"));
+/// ```
+pub struct EventLog {
+    // The counter lives under the same lock as the writer so seq order
+    // and output order can never disagree across racing threads.
+    out: Option<Mutex<(u64, Box<dyn Write + Send>)>>,
+    start: Instant,
+}
+
+impl EventLog {
+    /// A log writing to `out`, or a no-op log.
+    pub fn new(out: Option<Box<dyn Write + Send>>) -> Self {
+        EventLog {
+            out: out.map(|w| Mutex::new((0, w))),
+            start: Instant::now(),
+        }
+    }
+
+    /// The process's stderr log — one `seq` across every thread of the
+    /// process.
+    pub fn stderr() -> &'static EventLog {
+        static LOG: OnceLock<EventLog> = OnceLock::new();
+        LOG.get_or_init(|| EventLog::new(Some(Box::new(std::io::stderr()))))
+    }
+
+    /// Writes one row (best-effort: logging never takes a campaign down).
+    pub fn emit(&self, event: &str, fields: impl FnOnce(JsonObj) -> JsonObj) {
+        let Some(out) = &self.out else { return };
+        let mut guard = out
+            .lock()
+            .expect("no thread panics while holding the event log");
+        let (seq, w) = &mut *guard;
+        let mut line = fields(
+            JsonObj::new()
+                .str("event", event)
+                .int("seq", *seq)
+                .num("t_s", self.start.elapsed().as_secs_f64()),
+        )
+        .finish();
+        line.push('\n');
+        *seq += 1;
+        // One write per row, so rows never interleave with other stderr
+        // writers mid-line.
+        let _ = w.write_all(line.as_bytes());
+        let _ = w.flush();
+    }
 }
 
 /// A parsed JSON value.

@@ -26,7 +26,7 @@ pub mod taintset;
 
 pub use arrayvec::ArrayVec;
 pub use bitset::BitSet;
-pub use json::{json_string, parse_json, JsonObj, JsonValue};
+pub use json::{json_string, parse_json, EventLog, JsonObj, JsonValue};
 pub use rng::{mix64, residency_digest, SplitMix64, Xoshiro256};
 pub use stats::{fmt_duration_s, Summary};
 pub use taintset::{TaintPool, TaintSet};

@@ -89,9 +89,9 @@ fn stl_campaigns_survive_the_process_boundary() {
     }
 }
 
-/// Find-first across the wire: the cancel broadcast and the skipped-batch
-/// acknowledgements must leave exactly the same reduced prefix as the
-/// in-process early exit.
+/// Find-first across the wire: the service stops leasing past the
+/// earliest hit, and the driven run must leave exactly the same reduced
+/// prefix as the in-process early exit.
 #[test]
 fn find_first_cancellation_preserves_the_reduced_prefix() {
     let cfg = quick_cfg(true);

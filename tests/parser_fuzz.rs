@@ -7,6 +7,7 @@
 //! here replays byte-identically.
 
 use amulet::fuzz::proto::{CampaignSpec, FragmentReport, Hello, Msg, ResultMsg};
+use amulet::fuzz::{ScanStats, ViolationClass, ViolationDigest};
 use amulet::util::{parse_json, Xoshiro256};
 
 /// Raw seeded bytes, length-biased toward short inputs (where parser
@@ -117,7 +118,26 @@ fn valid_lines() -> Vec<String> {
         Msg::CancelCampaign { campaign: 3 },
         Msg::Ping { token: 99 },
         Msg::Pong { token: 99 },
-        Msg::Fragment(FragmentReport::skipped(3)),
+        Msg::Fragment(FragmentReport {
+            index: 3,
+            stats: ScanStats {
+                cases: 84,
+                classes: 12,
+                candidates: 1,
+                validation_runs: 2,
+                confirmed: 1,
+                sim_cycles: 1 << 20,
+                warped_cycles: 1 << 18,
+            },
+            first_detection_s: Some(0.125),
+            violations: vec![ViolationDigest {
+                class: ViolationClass::SpectreV1,
+                ctrace_digest: u64::MAX,
+                l1d_diff: vec![0x4740],
+                dtlb_diff: vec![],
+                l1i_diff: vec![],
+            }],
+        }),
         Msg::Shutdown,
     ]
     .iter()

@@ -8,7 +8,8 @@ use amulet::fuzz::proto::{
     CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION,
 };
 use amulet::fuzz::{
-    BatchSpec, CampaignConfig, ScanStats, SpecSource, ViolationClass, ViolationDigest,
+    load_journal, BatchSpec, CampaignConfig, JournalHeader, ScanStats, SpecSource, ViolationClass,
+    ViolationDigest,
 };
 use amulet::{contracts::ContractKind, defenses::DefenseKind};
 use std::collections::BTreeSet;
@@ -25,7 +26,6 @@ fn quick_cfg() -> CampaignConfig {
 fn loaded_fragment() -> FragmentReport {
     FragmentReport {
         index: 17,
-        skipped: false,
         stats: ScanStats {
             cases: 672,
             classes: 96,
@@ -83,12 +83,13 @@ fn all_message_shapes() -> Vec<Msg> {
         Msg::Ping { token: 0 },
         Msg::Ping { token: u64::MAX },
         Msg::Pong { token: 0xdead_beef },
-        Msg::Cancel { earliest: 0 },
-        Msg::Cancel {
-            earliest: usize::MAX >> 1,
-        },
         Msg::Shutdown,
-        Msg::Fragment(FragmentReport::skipped(3)),
+        Msg::Fragment(FragmentReport {
+            index: 3,
+            stats: ScanStats::default(),
+            first_detection_s: None,
+            violations: vec![],
+        }),
         Msg::Fragment(loaded_fragment()),
         // Protocol v3: the service flow.
         Msg::Submit(CampaignSpec {
@@ -265,13 +266,88 @@ fn every_violation_class_round_trips_in_a_fragment() {
                 dtlb_diff: vec![],
                 l1i_diff: vec![],
             }],
-            ..FragmentReport::skipped(0)
+            ..loaded_fragment()
         };
         let Msg::Fragment(parsed) = Msg::parse_line(&Msg::Fragment(frag).to_line()).unwrap() else {
             panic!("tag changed");
         };
         assert_eq!(parsed.violations[0].class, class, "{}", class.paper_id());
     }
+}
+
+/// `fragment` as a pre-v6 peer wrote it: today's line plus a `skipped`
+/// flag right after the index.
+fn pre_v6_fragment_line(frag: &FragmentReport, skipped: bool) -> String {
+    let line = Msg::Fragment(frag.clone()).to_line();
+    let at = line
+        .find(",\"cases\":")
+        .expect("fragment lines carry cases");
+    format!("{},\"skipped\":{skipped}{}", &line[..at], &line[at..])
+}
+
+/// Protocol v6 dropped `skipped`: a v5 line with `"skipped":false` still
+/// parses to the same fragment (16 bytes longer than its v6 form), and a
+/// `"skipped":true` line — a batch that was never executed — is a
+/// protocol error.
+#[test]
+fn pre_v6_fragment_lines_parse_and_skipped_ones_are_refused() {
+    let frag = loaded_fragment();
+    let v5 = pre_v6_fragment_line(&frag, false);
+    assert_eq!(Msg::parse_line(&v5).unwrap(), Msg::Fragment(frag.clone()));
+    assert_eq!(v5.len(), Msg::Fragment(frag.clone()).to_line().len() + 16);
+    let err = Msg::parse_line(&pre_v6_fragment_line(&frag, true)).unwrap_err();
+    assert!(err.contains("skipped"), "{err}");
+}
+
+/// A journal written by a pre-v6 daemon replays; one holding a
+/// `"skipped":true` record is refused, so the service recomputes.
+#[test]
+fn pre_v6_journals_replay_and_a_skipped_record_is_refused() {
+    let dir = std::env::temp_dir().join(format!(
+        "amulet_proto_v5_journal_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: None,
+        find_first: false,
+        batch_programs: 3,
+        cycle_skip: true,
+    };
+    let header = JournalHeader::for_spec(&spec, 4);
+    let frags: Vec<FragmentReport> = (0..2)
+        .map(|index| FragmentReport {
+            index,
+            ..loaded_fragment()
+        })
+        .collect();
+    let write = |name: &str, last_skipped: bool| {
+        let path = dir.join(name);
+        let text = format!(
+            "{}\n{}\n{}\n",
+            header.to_line(),
+            pre_v6_fragment_line(&frags[0], false),
+            pre_v6_fragment_line(&frags[1], last_skipped)
+        );
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+
+    let replay = load_journal(&write("v5.jsonl", false), &header.key)
+        .unwrap()
+        .expect("a v5 journal replays");
+    assert_eq!(replay.fragments, frags);
+    assert!(!replay.skipped_torn);
+
+    let err = load_journal(&write("skipped.jsonl", true), &header.key).unwrap_err();
+    assert!(err.contains("skipped"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The acceptance gate for the operator's handbook: the set of message

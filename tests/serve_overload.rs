@@ -15,7 +15,10 @@ mod common;
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet::fuzz::{Admission, CampaignConfig, Service, ShardConfig, ShardedCampaign, StateDir};
+use amulet::fuzz::{
+    run_batch, Admission, CampaignConfig, LeaseWait, Service, ShardConfig, ShardedCampaign,
+    StateDir, UnitRuntime,
+};
 use amulet_cli::{AdversarialPlan, ServiceHost, SessionLimits};
 use common::{spawn_hardened_client, spawn_serve_client, MemClient};
 use std::path::PathBuf;
@@ -376,11 +379,23 @@ fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
 
     let recovery = state.recover().expect("fresh dir recovers empty");
     let service = Arc::new(Service::with_persistence(None, state.clone(), recovery));
-    let host = ServiceHost::start(service.clone(), 1, &[]);
+    // No local workers: the test holds the only slot and runs exactly three
+    // batches before the "SIGTERM", so the drain lands mid-campaign however
+    // fast the build runs them.
+    let host = ServiceHost::start(service.clone(), 0, &[]);
+    let slot = service.attach_slot();
     let client = spawn_serve_client(&service);
 
     client.send(&Msg::Submit(resume_spec.clone()));
     expect_accepted(&client);
+    let mut rt = UnitRuntime::new();
+    for _ in 0..3 {
+        let LeaseWait::Lease(lease) = service.wait_lease(RESULT_TIMEOUT) else {
+            panic!("the submitted campaign must lease a batch");
+        };
+        let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
+        service.complete(*lease, fragment);
+    }
     // Let at least two batches land in the journal before the "SIGTERM".
     let mut seen = 0;
     while seen < 2 {
@@ -391,6 +406,7 @@ fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
     }
 
     service.drain();
+    service.detach_slot(slot);
     // The session announces the drain, checkpoints (cancels) its owned
     // campaign and closes; the journal file stays on disk.
     let mut saw_draining = false;

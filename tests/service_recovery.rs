@@ -242,8 +242,10 @@ fn unusable_journals_recompute_cleanly() {
     let path_of = |state: &StateDir| state.journal_path(&spec.cache_key());
 
     // (a) the file at our path holds a different campaign's journal;
-    // (b) valid header, garbage record — interior corruption.
-    let plant: [&dyn Fn(&StateDir); 2] = [
+    // (b) valid header, garbage record — interior corruption;
+    // (c) valid header, a pre-v6 `"skipped":true` record — a batch that
+    //     was never executed.
+    let plant: [&dyn Fn(&StateDir); 3] = [
         &|state: &StateDir| {
             let first = boot(state);
             accepted(first.submit(&other).unwrap());
@@ -259,6 +261,16 @@ fn unusable_journals_recompute_cleanly() {
             let mut text = std::fs::read_to_string(path_of(state)).unwrap();
             let at = text.find("\"type\":\"fragment\"").unwrap();
             text.replace_range(at..at + 6, "zzzzzz");
+            std::fs::write(path_of(state), text).unwrap();
+        },
+        &|state: &StateDir| {
+            let first = boot(state);
+            accepted(first.submit(&spec).unwrap());
+            drive(&first, 2);
+            drop(first);
+            let mut text = std::fs::read_to_string(path_of(state)).unwrap();
+            let at = text.find(",\"cases\":").unwrap();
+            text.insert_str(at, ",\"skipped\":true");
             std::fs::write(path_of(state), text).unwrap();
         },
     ];
